@@ -42,6 +42,10 @@ UNIT_EPS = 1e-12
 # rows stay strictly positive even for extreme logit gaps.
 _TINY = np.finfo(np.float64).tiny
 
+# Elements per block of the in-place numpy Adam pass: small enough that a
+# block of p, g, m, v and the two scratch buffers stays in cache.
+ADAM_BLOCK = 1 << 15
+
 
 def _env_wants_numba() -> bool:
     flag = os.environ.get("CLARE_NUMBA", "").strip().lower()
@@ -155,11 +159,34 @@ def _np_adam_step(
     beta2: float,
     eps: float,
 ) -> None:
-    m[:] = beta1 * m + (1.0 - beta1) * g
-    v[:] = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    # In place over fixed-size blocks with two small scratch buffers. Each
+    # element sees the IEEE operations of the textbook expression in its
+    # order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
+    # p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    n = p.shape[0]
+    scratch_a = np.empty(min(n, ADAM_BLOCK))
+    scratch_b = np.empty(min(n, ADAM_BLOCK))
+    for start in range(0, n, ADAM_BLOCK):
+        stop = min(start + ADAM_BLOCK, n)
+        pb, gb, mb, vb = p[start:stop], g[start:stop], m[start:stop], v[start:stop]
+        a = scratch_a[: stop - start]
+        b = scratch_b[: stop - start]
+        np.multiply(mb, beta1, out=mb)
+        np.multiply(gb, 1.0 - beta1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, beta2, out=vb)
+        np.multiply(gb, 1.0 - beta2, out=a)
+        np.multiply(a, gb, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(vb, bc2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(mb, bc1, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(pb, b, out=pb)
 
 
 def _np_sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:

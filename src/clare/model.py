@@ -15,6 +15,7 @@ produce samples for any requested class.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -63,7 +64,8 @@ class ClareModel:
     Defaults follow the reference sizing for 28x28 images (784-16, trunk
     512-256); every dimension is configurable so miniature instances stay
     cheap to probe. All parameters live on a single ``ParamTape`` in a fixed
-    order, which is also the checkpoint order.
+    order, which is also the checkpoint order and the layout of its flat
+    buffers.
     """
 
     def __init__(
@@ -88,7 +90,6 @@ class ClareModel:
         self.input_dim = input_dim
         self.enc_hidden = tuple(int(h) for h in enc_hidden)
         self.dec_hidden = tuple(int(h) for h in dec_hidden)
-        self.tape = ParamTape()
         self._build(rng)
 
     def _build(self, rng: np.random.Generator | None) -> None:
@@ -112,13 +113,13 @@ class ClareModel:
             ("dec_w3", (self.input_dim, g2)),
             ("dec_b3", (self.input_dim,)),
         ]
-        for name, shape in shapes:
-            if len(shape) == 1:
-                self.tape.add(name, np.zeros(shape))
-            elif rng is None:
-                self.tape.add(name, np.zeros(shape))
-            else:
-                self.tape.add(name, nk.glorot_uniform(rng, *shape))
+        # One allocation for the whole tape; biases stay zero, and weights
+        # draw Glorot values straight into their views, in tape order.
+        self.tape = ParamTape(shapes)
+        if rng is not None:
+            for name, shape in shapes:
+                if len(shape) == 2:
+                    self.tape.param(name)[...] = nk.glorot_uniform(rng, *shape)
 
     # -- forward passes ----------------------------------------------------
 
@@ -379,12 +380,30 @@ def write_container(path: str, class_no: int, d_z: int, params: Mapping[str, np.
 
 
 def read_container(path: str) -> tuple[int, int, dict[str, np.ndarray]]:
-    """Inverse of ``write_container``; returns (class_no, d_z, params)."""
+    """Inverse of ``write_container``; returns (class_no, d_z, params).
+
+    Every read is bounds-checked: a truncated or malformed file raises
+    ``ValueError`` naming the byte offset and, once known, the tensor.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
+    tensor = ""
+
+    def take(offset: int, size: int, what: str) -> bytes:
+        if offset + size > len(data):
+            where = f" of tensor {tensor!r}" if tensor else ""
+            raise ValueError(
+                f"truncated checkpoint: {what}{where} needs {size} bytes at "
+                f"offset {offset}, file has {len(data)}"
+            )
+        return data[offset : offset + size]
+
+    def u32s(offset: int, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(offset, 4 * count, what))
+
+    if take(0, 4, "magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {data[:4]!r} at offset 0")
-    version, class_no, d_z = struct.unpack_from("<III", data, 4)
+    version, class_no, d_z = u32s(4, 3, "header")
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
@@ -392,18 +411,23 @@ def read_container(path: str) -> tuple[int, int, dict[str, np.ndarray]]:
     params: dict[str, np.ndarray] = {}
     offset = 16
     while offset < len(data):
-        (name_len,) = struct.unpack_from("<I", data, offset)
+        (name_len,) = u32s(offset, 1, "name length")
         offset += 4
-        name = data[offset : offset + name_len].decode("utf-8")
+        try:
+            tensor = take(offset, name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"tensor name at offset {offset} is not utf-8: {err}") from None
+        if tensor in params:
+            raise ValueError(f"duplicate tensor {tensor!r} at offset {offset}")
         offset += name_len
-        (rank,) = struct.unpack_from("<I", data, offset)
+        (rank,) = u32s(offset, 1, "rank")
         offset += 4
-        dims = struct.unpack_from(f"<{rank}I", data, offset)
+        dims = u32s(offset, rank, "dims")
         offset += 4 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        count = math.prod(dims)
+        payload = take(offset, 8 * count, "payload")
         offset += 8 * count
-        params[name] = payload.reshape(dims).astype(np.float64)
+        params[tensor] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
     return class_no, d_z, params
 
 

@@ -9,7 +9,8 @@ Ops are polymorphic: called on plain arrays they return plain arrays
 (inference path, nothing recorded), called on at least one ``Node`` they
 return a ``Node`` recording parents and vector-Jacobian products for
 ``backward``. Parameters live in a ``ParamTape``; ``backward`` accumulates
-gradients into the tape, ``optimizer_step`` consumes them.
+gradients into the tape's flat gradient buffer, ``optimizer_step`` consumes
+them in one pass.
 """
 
 from __future__ import annotations
@@ -80,26 +81,53 @@ class ParamTape:
 
     Names are unique; insertion order is the iteration order everywhere
     (updates, serialization), which keeps seeded runs bit-reproducible.
+    The tape owns two contiguous float64 vectors, one for parameters and one
+    for gradients; every named tensor is a reshaped view into them, so the
+    optimizer, ``zero_grads`` and the finite checks each make one pass over
+    a flat buffer. Build a tape from its ``(name, shape)`` list in one
+    allocation; ``add`` appends by repacking, which leaves arrays it returned
+    earlier detached from the tape.
+
     Gradients must be zeroed at the start of every optimization step;
     ``backward`` marks the tape populated and ``optimizer_step`` refuses to
     run on a tape whose gradients were never produced.
     """
 
-    def __init__(self):
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
+        self._allocate([(name, tuple(int(d) for d in shape)) for name, shape in shapes])
+        self.populated = False
+
+    def _allocate(self, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
+        """Zero-filled flat buffers laid out in ``shapes`` order, with views."""
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.flat_params = np.zeros(sum(sizes))
+        self.flat_grads = np.zeros(sum(sizes))
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
-        self.populated = False
+        offset = 0
+        for (name, shape), size in zip(shapes, sizes):
+            if name in self._params:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            self._params[name] = self.flat_params[offset : offset + size].reshape(shape)
+            self._grads[name] = self.flat_grads[offset : offset + size].reshape(shape)
+            offset += size
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = as_f64(value)
-        self._params[name] = arr
-        self._grads[name] = np.zeros_like(arr)
-        return arr
+        params, grads = self.flat_params, self.flat_grads
+        self._allocate([*self.shapes(), (name, arr.shape)])
+        self.flat_params[: params.size] = params
+        self.flat_grads[: grads.size] = grads
+        self._params[name][...] = arr
+        return self._params[name]
 
     def names(self) -> list[str]:
         return list(self._params)
+
+    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(name, value.shape) for name, value in self._params.items()]
 
     def param(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -108,18 +136,37 @@ class ParamTape:
         return self._grads[name]
 
     def set_param(self, name: str, value: np.ndarray) -> None:
+        """Copy ``value`` into the parameter's view and zero its gradient."""
         arr = as_f64(value)
         if arr.shape != self._params[name].shape:
             raise ValueError(
                 f"shape mismatch for {name!r}: have {self._params[name].shape}, got {arr.shape}"
             )
-        self._params[name] = arr
-        self._grads[name] = np.zeros_like(arr)
+        self._params[name][...] = arr
+        self._grads[name][...] = 0.0
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
+        self.flat_grads.fill(0.0)
         self.populated = False
+
+    def check_finite(self, which: str) -> None:
+        """One finite reduction over the flat ``"params"`` or ``"grads"`` buffer.
+
+        Only when it fails are the tensors searched, so the raised
+        ``NonFiniteError`` names the first one holding a bad value.
+        """
+        flat = self.flat_grads if which == "grads" else self.flat_params
+        try:
+            check_finite(flat, f"flat {which} buffer")
+        except NonFiniteError:
+            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+            end = 0
+            for name, value in self._params.items():
+                end += value.size
+                if bad < end:
+                    break
+            what = f"gradient of {name!r}" if which == "grads" else f"parameter {name!r}"
+            raise NonFiniteError(f"non-finite value in {what}") from None
 
     def leaf(self, name: str) -> Node:
         if name not in self._params:
@@ -127,9 +174,8 @@ class ParamTape:
         return Node(self._params[name], param_name=name)
 
     def copy(self) -> "ParamTape":
-        other = ParamTape()
-        for name, value in self._params.items():
-            other.add(name, value.copy())
+        other = ParamTape(self.shapes())
+        other.flat_params[...] = self.flat_params
         return other
 
     def __contains__(self, name: str) -> bool:
@@ -406,7 +452,7 @@ def backward(loss: Node, tape: ParamTape) -> None:
         if node.param_name is not None:
             acc = tape.grad(node.param_name)
             acc += g
-            check_finite(acc, f"gradient of {node.param_name!r}")
+    tape.check_finite("grads")
     tape.populated = True
 
 
@@ -424,8 +470,9 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 class OptimizerState:
     """Plain SGD or bias-corrected Adam over a ParamTape.
 
-    Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; moments
-    are allocated lazily per parameter and the step counter is shared.
+    Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; its two
+    moments are flat vectors matching the tape's flat buffers, allocated on
+    the first step, and the step counter is shared.
     """
 
     BETA1 = 0.9
@@ -440,36 +487,31 @@ class OptimizerState:
         self.kind = kind
         self.lr = lr
         self.step = 0
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def moments(self, name: str, shape) -> tuple[np.ndarray, np.ndarray]:
-        pair = self._moments.get(name)
-        if pair is None or pair[0].shape != shape:
-            pair = (np.zeros(shape), np.zeros(shape))
-            self._moments[name] = pair
-        return pair
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
 
 def optimizer_step(tape: ParamTape, state: OptimizerState) -> None:
-    """Update every tape parameter in place from its accumulated gradient."""
+    """Update every tape parameter in place from its accumulated gradient.
+
+    One kernel call covers the whole flat parameter vector. Gradients are
+    checked before anything moves and parameters after the update.
+    """
     if not tape.populated:
         raise RuntimeError("optimizer_step before backward: tape has no gradients")
+    tape.check_finite("grads")
     state.step += 1
-    for name in tape.names():
-        g = tape.grad(name)
-        check_finite(g, f"gradient of {name!r}")
-        p = tape.param(name)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        if state.kind == "adam":
-            m, v = state.moments(name, flat_p.shape)
-            kernels.adam_step(
-                flat_p, flat_g, m, v, state.step, state.lr,
-                OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS,
-            )
-        else:
-            kernels.sgd_step(flat_p, flat_g, state.lr)
-        check_finite(p, f"parameter {name!r}")
+    p, g = tape.flat_params, tape.flat_grads
+    if state.kind == "adam":
+        if state.m is None or state.m.shape != p.shape:
+            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        kernels.adam_step(
+            p, g, state.m, state.v, state.step, state.lr,
+            OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS,
+        )
+    else:
+        kernels.sgd_step(p, g, state.lr)
+    tape.check_finite("params")
 
 
 def iter_minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterable[np.ndarray]:

@@ -97,7 +97,9 @@ def train_model(
 
     Returns per-epoch means of each loss component. One optimizer lives for
     the whole call; a fresh one is created per increment because class
-    expansion changes parameter shapes.
+    expansion changes parameter shapes. A ``NonFiniteError`` is re-raised
+    with the epoch and step (both counted from 0) where training diverged
+    and the last loss components computed before it.
     """
     warmup()
     n = images.shape[0]
@@ -105,17 +107,25 @@ def train_model(
         raise ValueError("cannot train on an empty dataset")
     state = nk.OptimizerState(config.optimizer, config.lr)
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
-    for _ in range(config.epochs):
+    parts: dict[str, float] = {}
+    for epoch in range(config.epochs):
         sums = dict.fromkeys(TRACE_KEYS, 0.0)
         batches = 0
-        for idx in nk.iter_minibatches(n, config.batch_size, rng):
+        for step, idx in enumerate(nk.iter_minibatches(n, config.batch_size, rng)):
             noise = rng.standard_normal((idx.shape[0], model.d_z))
             model.tape.zero_grads()
-            loss, parts = total_loss(
-                model, images[idx], labels[idx], noise, beta=config.beta
-            )
-            nk.backward(loss, model.tape)
-            nk.optimizer_step(model.tape, state)
+            try:
+                loss, parts = total_loss(
+                    model, images[idx], labels[idx], noise, beta=config.beta
+                )
+                nk.backward(loss, model.tape)
+                nk.optimizer_step(model.tape, state)
+            except nk.NonFiniteError as err:
+                last = ", ".join(f"{key}={value!r}" for key, value in parts.items())
+                raise nk.NonFiniteError(
+                    f"{err} at epoch {epoch}, step {step} "
+                    f"(last loss components: {last or 'none yet'})"
+                ) from err
             for key in TRACE_KEYS:
                 sums[key] += parts[key]
             batches += 1
@@ -194,7 +204,10 @@ def run_increment(
             rng=init_rng,
         )
 
-    trace = train_model(model, merged_x, merged_y, config, train_rng)
+    try:
+        trace = train_model(model, merged_x, merged_y, config, train_rng)
+    except nk.NonFiniteError as err:
+        raise nk.NonFiniteError(f"increment {phase}: {err}") from err
     snapshot = take_snapshot(model, increment=phase)
 
     seen_test = subset_by_classes(test_data, learned)

@@ -43,6 +43,21 @@ def finite_difference(f, tape, names=None, h: float = 1e-5) -> dict[str, np.ndar
     return grads
 
 
+def adam_oracle(
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+    lr: float, beta1: float, beta2: float, eps: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One bias-corrected Adam step on one tensor, as the textbook writes it.
+
+    Returns new ``(p, m, v)`` arrays and leaves the inputs alone.
+    """
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def kl_monte_carlo(
     mu: np.ndarray, log_var: np.ndarray, draws: int, rng: np.random.Generator
 ) -> float:

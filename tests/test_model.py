@@ -430,6 +430,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="cls_w"):
             load_model(path)
 
+    @pytest.mark.parametrize("cut", [10, 18, 30, 200])
+    def test_truncation_names_offset_and_tensor(self, tmp_path, cut):
+        path = str(tmp_path / "model.clre")
+        save_model(mini_model(28), path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        with pytest.raises(ValueError, match=r"truncated checkpoint: .* at offset \d+") as err:
+            read_container(path)
+        if cut > 16 + 4 + len("enc_w1"):
+            assert "of tensor 'enc_w1'" in str(err.value)
+
     def test_container_keeps_arbitrary_tensors(self, tmp_path):
         rng = np.random.default_rng(27)
         params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
@@ -440,6 +453,34 @@ class TestCheckpoint:
         assert set(back) == {"a", "b"}
         for name in params:
             assert np.array_equal(back[name], params[name])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.clre")
+    model = mini_model(29)
+    save_model(model, path)
+    with open(path, "rb") as fh:
+        return model, fh.read()
+
+
+@settings(max_examples=200, deadline=None)
+@given(choice=st.data())
+def test_every_checkpoint_prefix_is_rejected_or_round_trips(
+    checkpoint_bytes, tmp_path_factory, choice
+):
+    model, data = checkpoint_bytes
+    cut = choice.draw(st.integers(min_value=0, max_value=len(data)), label="cut")
+    path = str(tmp_path_factory.getbasetemp() / "prefix.clre")
+    with open(path, "wb") as fh:
+        fh.write(data[:cut])
+    if cut < len(data):
+        with pytest.raises(ValueError):
+            load_model(path)
+        return
+    loaded = load_model(path)
+    assert loaded.tape.names() == model.tape.names()
+    assert np.array_equal(loaded.tape.flat_params, model.tape.flat_params)
 
 
 class TestConditionalGeneration:

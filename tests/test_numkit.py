@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import clare.numkit as nk
-from oracles import finite_difference, linear_oracle
+from clare import kernels
+from oracles import adam_oracle, finite_difference, linear_oracle
 
 FD_TOL = 1e-5
 
@@ -308,6 +309,128 @@ class TestTapeContracts:
         tape = nk.ParamTape()
         arr = tape.add("w", np.ones((2, 2), dtype=np.float32))
         assert arr.dtype == np.float64
+
+
+# Shapes whose flat length spans several Adam blocks and ends in a ragged tail.
+FLAT_SHAPES = [
+    ("w1", (kernels.ADAM_BLOCK // 64 + 3, 97)),
+    ("b1", (kernels.ADAM_BLOCK + 5,)),
+    ("w2", (7, kernels.ADAM_BLOCK // 4 + 1)),
+    ("b2", (3,)),
+]
+
+
+def _flat_tape(seed: int = 0) -> nk.ParamTape:
+    rng = np.random.default_rng(seed)
+    tape = nk.ParamTape(FLAT_SHAPES)
+    tape.flat_params[...] = rng.standard_normal(tape.flat_params.size)
+    return tape
+
+
+class TestFlatStore:
+    def test_views_share_the_flat_buffers(self):
+        tape = _flat_tape()
+        assert tape.flat_params.size == sum(int(np.prod(s)) for _, s in FLAT_SHAPES)
+        for name, shape in FLAT_SHAPES:
+            assert tape.param(name).shape == shape
+            assert tape.grad(name).shape == shape
+            assert np.shares_memory(tape.param(name), tape.flat_params), name
+            assert np.shares_memory(tape.grad(name), tape.flat_grads), name
+        tape.grad("b2")[...] = 4.0
+        assert np.array_equal(tape.flat_grads[-3:], [4.0, 4.0, 4.0])
+        tape.zero_grads()
+        assert not tape.flat_grads.any()
+
+    def test_add_appends_to_the_flat_buffers(self):
+        tape = nk.ParamTape()
+        tape.add("a", np.array([[1.0, 2.0]]))
+        tape.grad("a")[...] = 5.0
+        b = tape.add("b", np.array([3.0]))
+        assert np.array_equal(tape.flat_params, [1.0, 2.0, 3.0])
+        assert np.array_equal(tape.flat_grads, [5.0, 5.0, 0.0])
+        assert np.shares_memory(b, tape.flat_params)
+        assert np.shares_memory(tape.param("a"), tape.flat_params)
+
+    def test_copy_stays_independent(self):
+        tape = _flat_tape(1)
+        other = tape.copy()
+        assert np.array_equal(other.flat_params, tape.flat_params)
+        assert not np.shares_memory(other.flat_params, tape.flat_params)
+        assert not np.shares_memory(other.flat_grads, tape.flat_grads)
+        before = tape.flat_params.copy()
+        other.param("w2")[...] = 99.0
+        other.grad("w2")[...] = 1.0
+        assert np.array_equal(tape.flat_params, before)
+        assert not tape.flat_grads.any()
+        assert np.shares_memory(other.param("w2"), other.flat_params)
+
+    def test_set_param_keeps_aliasing_and_zeroes_that_gradient(self):
+        tape = _flat_tape(2)
+        tape.flat_grads[...] = 1.0
+        view = tape.param("b1")
+        tape.set_param("b1", np.full(view.shape, 0.25))
+        assert tape.param("b1") is view
+        assert np.shares_memory(tape.param("b1"), tape.flat_params)
+        assert (tape.param("b1") == 0.25).all()
+        assert not tape.grad("b1").any()
+        for name in ("w1", "w2", "b2"):
+            assert (tape.grad(name) == 1.0).all(), name
+
+    def test_flat_adam_is_bit_equal_to_the_per_tensor_formula(self):
+        rng = np.random.default_rng(3)
+        tape = _flat_tape(3)
+        state = nk.OptimizerState("adam", 1e-3)
+        want = {
+            name: (tape.param(name).copy(), np.zeros(shape), np.zeros(shape))
+            for name, shape in FLAT_SHAPES
+        }
+        for t in (1, 2, 3):
+            scale = 10.0 ** rng.integers(-8, 3, tape.flat_grads.size)
+            tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size) * scale
+            tape.populated = True
+            nk.optimizer_step(tape, state)
+            for name, (p, m, v) in want.items():
+                want[name] = adam_oracle(
+                    p, tape.grad(name), m, v, t, 1e-3,
+                    nk.OptimizerState.BETA1, nk.OptimizerState.BETA2, nk.OptimizerState.EPS,
+                )
+                assert np.array_equal(tape.param(name), want[name][0]), (t, name)
+        assert state.m.shape == state.v.shape == tape.flat_params.shape
+        moments = [np.concatenate([want[n][k].ravel() for n, _ in FLAT_SHAPES]) for k in (1, 2)]
+        assert np.array_equal(state.m, moments[0])
+        assert np.array_equal(state.v, moments[1])
+
+    def test_one_finite_check_per_buffer(self, monkeypatch):
+        tape = _flat_tape(4)
+        checked = []
+        real = nk.check_finite
+        monkeypatch.setattr(nk, "check_finite", lambda v, what: (checked.append(v), real(v, what)))
+        loss = nk.sum_all(nk.add(tape.leaf("w1"), tape.leaf("w1")))
+        nk.backward(loss, tape)
+        nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3))
+        assert [id(v) for v in checked] == [
+            id(tape.flat_grads), id(tape.flat_grads), id(tape.flat_params)
+        ]
+
+    def test_nan_in_last_gradient_is_named(self):
+        tape = _flat_tape(5)
+        tape.grad("b2")[2] = np.nan
+        tape.populated = True
+        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'b2'$"):
+            nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3))
+
+    def test_nan_in_parameter_buffer_is_named(self):
+        tape = _flat_tape(6)
+        tape.param("w2")[6, -1] = np.inf
+        tape.populated = True
+        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
+            nk.optimizer_step(tape, nk.OptimizerState("sgd", 1e-3))
+
+    def test_backward_names_the_bad_gradient(self):
+        tape = _flat_tape(7)
+        loss = nk.scale(nk.sum_all(tape.leaf("b1")), float("inf"))
+        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'b1'$"):
+            nk.backward(loss, tape)
 
 
 class TestNonFinite:

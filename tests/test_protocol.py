@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from clare import numkit as nk
 from clare.config import ExperimentConfig
-from clare.dataio import make_toy_dataset, subset_by_classes
+from clare.dataio import LabeledDataset, make_toy_dataset, subset_by_classes
 from clare.protocol import (
     IncrementState,
     _phase_seed,
@@ -157,6 +159,34 @@ class TestRunIncrement:
             )
         # No replay before anything is learned; then one share per old class.
         assert calls == [(1, 60), (2, 120)]
+
+
+class TestDivergence:
+    def test_nan_input_reports_increment_epoch_step_and_loss(self, data):
+        train, test = data
+        state = run_increment(
+            IncrementState(), subset_by_classes(train, [0]), test, FAST, _phase_seed(1, 0)
+        )
+        group = subset_by_classes(train, [1])
+        images = group.images.copy()
+        images[5, 2] = np.nan
+        with pytest.raises(nk.NonFiniteError) as err:
+            run_increment(
+                state, LabeledDataset(images, group.labels), test, FAST, _phase_seed(1, 1)
+            )
+        assert re.fullmatch(
+            r"increment 1: non-finite value in total loss at epoch 0, step \d+ "
+            r"\(last loss components: classification=\S+, reconstruction=\S+, "
+            r"kl=\S+, total=\S+\)",
+            str(err.value),
+        ), str(err.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_learning_rate_stops_at_the_second_step(self, data):
+        train, test = data
+        config = replace(FAST, optimizer="sgd", lr=1e308)
+        with pytest.raises(nk.NonFiniteError, match=r"^increment 0: .* at epoch 0, step 1 "):
+            run_increment(IncrementState(), subset_by_classes(train, [0, 1]), test, config, 3)
 
 
 class TestDeterminism:

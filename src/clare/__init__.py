@@ -22,7 +22,6 @@ from .model import (
     reconstruction_loss,
     reparameterize,
     save_model,
-    total_loss,
 )
 from .protocol import (
     IncrementState,
@@ -79,7 +78,6 @@ __all__ = [
     "run_joint_baseline",
     "save_model",
     "take_snapshot",
-    "total_loss",
     "write_idx",
     "write_report",
 ]

@@ -105,18 +105,21 @@ class ExperimentConfig:
         return out
 
 
+CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def config_from_items(items: dict[str, str]) -> ExperimentConfig:
     """Build a config from ``key = value`` strings; inverse of ``to_items``."""
     kwargs = {}
-    names = {f.name: f for f in fields(ExperimentConfig)}
     for key, raw in items.items():
-        if key not in names:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _parse_field(key, raw)
+        kwargs[key] = parse_field(key, raw)
     return ExperimentConfig(**kwargs)
 
 
-def _parse_field(name: str, raw: str):
+def parse_field(name: str, raw: str):
+    """Parse one config value; a ``ValueError`` names the key and the value."""
+    if name not in CONFIG_KEYS:
+        raise ValueError(f"unknown config key {name!r}")
     raw = raw.strip()
     if name in ("dataset", "optimizer", "start", "data_dir", "out_path"):
         return raw
@@ -124,13 +127,19 @@ def _parse_field(name: str, raw: str):
         if raw not in ("on", "off"):
             raise ValueError(f"replay must be 'on' or 'off', got {raw!r}")
         return raw == "on"
-    if name in ("lr", "beta", "toy_spread"):
-        return float(raw)
-    if name in ("enc_hidden", "dec_hidden"):
-        if not raw:
+    hidden, floats = ("enc_hidden", "dec_hidden"), ("lr", "beta", "toy_spread")
+    try:
+        if name in hidden:
+            return tuple(int(p) for p in raw.split(",")) if raw else None
+        if name in floats:
+            return float(raw)
+        if name == "epochs" and not raw:
             return None
-        parts = tuple(int(p) for p in raw.split(","))
-        return parts
-    if name == "epochs" and not raw:
-        return None
-    return int(raw)
+        return int(raw)
+    except ValueError:
+        kind = (
+            "comma-separated integers" if name in hidden
+            else "a number" if name in floats
+            else "an integer"
+        )
+        raise ValueError(f"config key {name!r} needs {kind}, got {raw!r}") from None

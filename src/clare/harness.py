@@ -20,7 +20,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import ENV_DATA_DIR, ExperimentConfig, config_from_items
+from .config import (
+    CONFIG_KEYS,
+    ENV_DATA_DIR,
+    ExperimentConfig,
+    config_from_items,
+    parse_field,
+)
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, write_idx
 from .metrics import average_over_tasks, evaluate  # re-exported surface
 from .protocol import (
@@ -83,8 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; blanks and ``#`` comments are skipped."""
+    """Parse ``key = value`` lines; blanks and ``#`` comments are skipped.
+
+    Values of known config keys are checked here, so an error names the
+    file and line; a key given twice is rejected with both lines.
+    """
     items: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for n, line in enumerate(fh, start=1):
@@ -93,8 +104,17 @@ def read_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in stripped:
                     raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
-                key, value = stripped.split("=", 1)
-                items[key.strip()] = value.strip()
+                key, value = (part.strip() for part in stripped.split("=", 1))
+                if key in lines:
+                    raise UsageError(
+                        f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
+                    )
+                if key in CONFIG_KEYS:
+                    try:
+                        parse_field(key, value)
+                    except ValueError as exc:
+                        raise UsageError(f"{path}:{n}: {exc}") from None
+                items[key], lines[key] = value, n
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return items

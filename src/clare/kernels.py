@@ -106,21 +106,23 @@ def _np_softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 def _np_bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     # softplus form: max(l, 0) - l*t + log1p(exp(-|l|)) is exact and never
-    # overflows, unlike -[t*log(sigmoid) + (1-t)*log(1-sigmoid)]
-    per_elem = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    loss = float(per_elem.sum() / n)
-    grad = (_np_sigmoid_raw(logits) - targets) / n
-    return loss, grad
-
-
-def _np_sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # Unclamped sigmoid: used where the exact derivative matters.
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # overflows, unlike -[t*log(sigmoid) + (1-t)*log(1-sigmoid)]. Two
+    # full-size buffers, no boolean indexing: exp(-|l|) is computed twice
+    # rather than held in a third.
+    terms = np.maximum(logits, 0.0)
+    e = np.multiply(logits, targets)
+    terms -= e
+    np.exp(np.negative(np.abs(logits, out=e), out=e), out=e)
+    terms += np.log1p(e, out=e)
+    loss = float(terms.sum() / n)
+    # Unclamped sigmoid, where(l >= 0, 1, e) / (1 + e): the exact derivative.
+    np.exp(np.negative(np.abs(logits, out=e), out=e), out=e)
+    np.add(e, 1.0, out=terms)
+    np.copyto(e, 1.0, where=logits >= 0.0)
+    np.divide(e, terms, out=e)
+    e -= targets
+    e /= n
+    return loss, e
 
 
 def _np_bce_probs(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -158,16 +160,19 @@ def _np_adam_step(
     beta1: float,
     beta2: float,
     eps: float,
+    scratch: np.ndarray | None = None,
 ) -> None:
-    # In place over fixed-size blocks with two small scratch buffers. Each
-    # element sees the IEEE operations of the textbook expression in its
-    # order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
+    # In place over fixed-size blocks with two small scratch buffers, the
+    # rows of ``scratch`` (shape ``(2, min(n, ADAM_BLOCK))``, allocated here
+    # when not given). Each element sees the IEEE operations of the textbook
+    # expression in its order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
     # p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     n = p.shape[0]
-    scratch_a = np.empty(min(n, ADAM_BLOCK))
-    scratch_b = np.empty(min(n, ADAM_BLOCK))
+    if scratch is None:
+        scratch = np.empty((2, min(n, ADAM_BLOCK)))
+    scratch_a, scratch_b = scratch
     for start in range(0, n, ADAM_BLOCK):
         stop = min(start + ADAM_BLOCK, n)
         pb, gb, mb, vb = p[start:stop], g[start:stop], m[start:stop], v[start:stop]
@@ -351,7 +356,7 @@ if _HAS_NUMBA:
         return out
 
     @njit(cache=True)
-    def _nb_adam_step(p, g, m, v, t, lr, beta1, beta2, eps):
+    def _nb_adam_step(p, g, m, v, t, lr, beta1, beta2, eps, scratch=None):
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
         for i in range(p.shape[0]):

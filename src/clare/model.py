@@ -22,8 +22,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import kernels
 from . import numkit as nk
-from .numkit import Node, ParamTape
+from .numkit import ParamTape
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
@@ -230,8 +231,6 @@ def reconstruction_loss(x: np.ndarray, xhat: np.ndarray) -> float:
     inside (0, 1); anything else means a reconstruction bypassed the output
     sigmoid and is rejected rather than silently log'd into inf.
     """
-    from . import kernels
-
     x = nk.as_f64(x)
     xhat = nk.as_f64(xhat)
     if x.shape != xhat.shape:
@@ -260,58 +259,188 @@ def classification_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-np.log(picked)))
 
 
-def total_loss(
-    model: ClareModel,
-    x: np.ndarray,
-    labels: np.ndarray,
-    noise: np.ndarray,
-    beta: float = 1.0,
-) -> tuple[Node, dict[str, float]]:
-    """Record the full training objective and return its root node.
+class StepWorkspace:
+    """Activation and gradient buffers for one training step at one batch size.
 
-    The returned node is ready for ``backward``; the dict carries the three
-    component values (classification, reconstruction, kl) plus their total
-    for logging. The classification term runs the encoder with a zero
-    condition (the deployment path); the VAE terms run it with the true
-    one-hot, then decode a reparameterized draw using ``noise``.
+    Built for a model's shapes and a batch size; every buffer is allocated
+    here and reused by each ``forward_backward`` call, so a steady-state step
+    allocates only the small arrays the latent-width kernels return and the
+    temporaries of ``kernels.bce_logits``. Fill ``x``, ``labels`` and
+    ``noise`` (``gather`` does the first two), then run the step.
+
+    Rows ``[:n]`` of the stacked encoder buffers hold the zero-condition
+    (classification) pass, rows ``[n:]`` the one-hot (VAE) pass. The forward
+    products run per pass; the backward takes each weight gradient of the
+    shared layers over both passes' rows in one product.
     """
-    x = nk.as_f64(x)
-    labels = np.asarray(labels, dtype=np.int64)
-    model._check_input(x)
-    c = one_hot(labels, model.class_no)
-    noise = nk.as_f64(noise)
-    if noise.shape != (x.shape[0], model.d_z):
+
+    def __init__(self, model: ClareModel, batch: int):
+        n, d, c, d_z = batch, model.input_dim, model.class_no, model.d_z
+        h1, h2 = model.enc_hidden
+        g1, g2 = model.dec_hidden
+        self.dims = _step_dims(model)
+        self.n = n
+        self.rows = np.arange(n)
+        self.x = np.empty((n, d))
+        self.labels = np.empty(n, dtype=np.int64)
+        self.noise = np.empty((n, d_z))
+        self.one_hot = np.zeros((n, c))
+        # encoder, both passes stacked by rows
+        self.h1 = np.empty((2 * n, h1))
+        self.h2 = np.empty((2 * n, h2))
+        self.mu = np.empty((2 * n, d_z))
+        self.lv_raw = np.empty((n, d_z))
+        self.lv = np.empty((n, d_z))
+        self.logits = np.empty((n, c))
+        # decoder
+        self.cond_d = np.empty((n, g1))
+        self.d1 = np.empty((n, g1))
+        self.d2 = np.empty((n, g2))
+        self.out = np.empty((n, d))
+        # relu and clip masks
+        self.live1 = np.empty((2 * n, h1), dtype=bool)
+        self.live2 = np.empty((2 * n, h2), dtype=bool)
+        self.live_d1 = np.empty((n, g1), dtype=bool)
+        self.live_d2 = np.empty((n, g2), dtype=bool)
+        self.inside = np.empty((n, d_z), dtype=bool)
+        self.below = np.empty((n, d_z), dtype=bool)
+        # gradients with respect to activations
+        self.dh1 = np.empty((2 * n, h1))
+        self.dh2 = np.empty((2 * n, h2))
+        self.dh2_lv = np.empty((n, h2))
+        self.dmu = np.empty((2 * n, d_z))
+        self.dz = np.empty((n, d_z))
+        self.dd1 = np.empty((n, g1))
+        self.dd2 = np.empty((n, g2))
+
+    def gather(self, images: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> None:
+        """Copy minibatch ``rows`` of ``images`` and ``labels`` into the buffers.
+
+        ``rows`` must be valid indices. Mode ``"clip"`` lets ``np.take``
+        write straight into the buffer; the default mode first copies.
+        """
+        np.take(images, rows, axis=0, out=self.x, mode="clip")
+        np.take(labels, rows, out=self.labels, mode="clip")
+
+
+def _step_dims(model: ClareModel) -> tuple:
+    return (model.input_dim, model.class_no, model.d_z, model.enc_hidden, model.dec_hidden)
+
+
+def _relu(pre: np.ndarray, live: np.ndarray) -> None:
+    """In-place ``max(pre, 0)``, recording where it passes gradient."""
+    np.greater(pre, 0.0, out=live)
+    np.maximum(pre, 0.0, out=pre)
+
+
+def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) -> dict[str, float]:
+    """One pass over the training objective; gradients go to the model's tape.
+
+    The objective is classification cross-entropy (encoder run with a zero
+    condition, the deployment path) plus reconstruction cross-entropy and
+    ``beta`` times the KL term (encoder run with the true one-hot, decoder
+    fed a reparameterized draw with ``ws.noise``). Every tape gradient is
+    assigned, and the tape is marked populated for ``optimizer_step``.
+    Returns the three component values and their total. Raises
+    ``NonFiniteError`` if the total is not finite.
+    """
+    if ws.dims != _step_dims(model):
+        raise ValueError(f"workspace shapes {ws.dims} do not match the model {_step_dims(model)}")
+    n, d, d_z = ws.n, model.input_dim, model.d_z
+    labels = ws.labels
+    if labels.min() < 0 or labels.max() >= model.class_no:
         raise ValueError(
-            f"noise shape {noise.shape} does not match ({x.shape[0]}, {model.d_z})"
+            f"class index out of range: have {model.class_no} classes, "
+            f"got labels {int(labels.min())}..{int(labels.max())}"
         )
+    p, g = model.tape.param, model.tape.grad
+    x = ws.x
+    ws.one_hot.fill(0.0)
+    ws.one_hot[ws.rows, labels] = 1.0
 
-    leaf = model.tape.leaf
+    # Encoder layer 1: x @ Wx.T once for both passes. The one-hot condition
+    # adds column W1[:, d + label], picked out by a (n, class_no) product.
+    w1 = p("enc_w1")
+    cls1, vae1 = ws.h1[:n], ws.h1[n:]
+    np.matmul(x, w1[:, :d].T, out=cls1)
+    cls1 += p("enc_b1")
+    np.matmul(ws.one_hot, w1[:, d:].T, out=vae1)
+    vae1 += cls1
+    _relu(ws.h1, ws.live1)
+    np.matmul(cls1, p("enc_w2").T, out=ws.h2[:n])
+    np.matmul(vae1, p("enc_w2").T, out=ws.h2[n:])
+    ws.h2 += p("enc_b2")
+    _relu(ws.h2, ws.live2)
+    h2_cls, h2_vae = ws.h2[:n], ws.h2[n:]
+    mu0, mu = ws.mu[:n], ws.mu[n:]
+    np.matmul(h2_cls, p("enc_wmu").T, out=mu0)
+    np.matmul(h2_vae, p("enc_wmu").T, out=mu)
+    ws.mu += p("enc_bmu")
+    # Log-variance head: VAE pass only; the classifier reads the mean.
+    np.matmul(h2_vae, p("enc_wlv").T, out=ws.lv_raw)
+    ws.lv_raw += p("enc_blv")
+    np.clip(ws.lv_raw, LOG_VAR_MIN, LOG_VAR_MAX, out=ws.lv)
+    np.greater(ws.lv_raw, LOG_VAR_MIN, out=ws.inside)
+    np.less(ws.lv_raw, LOG_VAR_MAX, out=ws.below)
+    ws.inside &= ws.below
 
-    # Classification path: zero condition, latent mean only.
-    zeros = np.zeros((x.shape[0], model.class_no))
-    mu0, _ = model._encoder(leaf, x, zeros)
-    ce = nk.softmax_cross_entropy(model._class_logits(leaf, mu0), labels)
+    np.matmul(mu0, p("cls_w").T, out=ws.logits)
+    ws.logits += p("cls_b")
+    ce, dlogits = kernels.softmax_xent(ws.logits, labels)
 
-    # VAE path: true condition, sampled latent, reconstruction from logits.
-    mu, log_var = model._encoder(leaf, x, c)
-    z = nk.reparameterize_draw(mu, log_var, noise)
-    h = nk.concat_columns(z, c)
-    h = nk.relu(nk.linear_forward(leaf("dec_w1"), leaf("dec_b1"), h))
-    h = nk.relu(nk.linear_forward(leaf("dec_w2"), leaf("dec_b2"), h))
-    dec_logits = nk.linear_forward(leaf("dec_w3"), leaf("dec_b3"), h)
-    rec = nk.bce_with_logits(dec_logits, x)
+    z = kernels.reparam_fwd(mu, ws.lv, ws.noise)
+    w_d1 = p("dec_w1")
+    np.matmul(z, w_d1[:, :d_z].T, out=ws.d1)
+    ws.d1 += p("dec_b1")
+    np.matmul(ws.one_hot, w_d1[:, d_z:].T, out=ws.cond_d)
+    ws.d1 += ws.cond_d
+    _relu(ws.d1, ws.live_d1)
+    np.matmul(ws.d1, p("dec_w2").T, out=ws.d2)
+    ws.d2 += p("dec_b2")
+    _relu(ws.d2, ws.live_d2)
+    np.matmul(ws.d2, p("dec_w3").T, out=ws.out)
+    ws.out += p("dec_b3")
+    rec, dout = kernels.bce_logits(ws.out, x)
+    kl, dmu_kl, dlv_kl = kernels.kl_terms(mu, ws.lv)
 
-    kl = nk.kl_to_standard_normal(mu, log_var)
+    total = ce + rec + kl * beta
+    nk.check_finite(total, "total loss")
 
-    total = nk.add(nk.add(ce, rec), nk.scale(kl, beta))
-    nk.check_finite(float(total.value), "total loss")
-    components = {
-        "classification": float(ce.value),
-        "reconstruction": float(rec.value),
-        "kl": float(kl.value),
-        "total": float(total.value),
-    }
-    return total, components
+    # Decoder.
+    nk.linear_backward(dout, ws.d2, p("dec_w3"), g("dec_w3"), g("dec_b3"), ws.dd2)
+    ws.dd2 *= ws.live_d2
+    nk.linear_backward(ws.dd2, ws.d1, p("dec_w2"), g("dec_w2"), g("dec_b2"), ws.dd1)
+    ws.dd1 *= ws.live_d1
+    nk.linear_backward(ws.dd1, z, w_d1[:, :d_z], g("dec_w1")[:, :d_z], g("dec_b1"), ws.dz)
+    np.matmul(ws.dd1.T, ws.one_hot, out=g("dec_w1")[:, d_z:])
+
+    # Latent: the draw, the KL pull and the clip.
+    dmu0, dmu = ws.dmu[:n], ws.dmu[n:]
+    np.multiply(dmu_kl, beta, out=dmu)
+    dmu += ws.dz
+    dlv = kernels.reparam_dlv(ws.dz, ws.lv, ws.noise)
+    dlv_kl *= beta
+    dlv += dlv_kl
+    dlv *= ws.inside
+
+    # Classifier, then the encoder heads over both passes at once.
+    nk.linear_backward(dlogits, mu0, p("cls_w"), g("cls_w"), g("cls_b"), dmu0)
+    nk.linear_backward(ws.dmu, ws.h2, p("enc_wmu"), g("enc_wmu"), g("enc_bmu"), ws.dh2)
+    nk.linear_backward(dlv, h2_vae, p("enc_wlv"), g("enc_wlv"), g("enc_blv"), ws.dh2_lv)
+    ws.dh2[n:] += ws.dh2_lv
+    ws.dh2 *= ws.live2
+    nk.linear_backward(ws.dh2, ws.h1, p("enc_w2"), g("enc_w2"), g("enc_b2"), ws.dh1)
+    ws.dh1 *= ws.live1
+
+    # Encoder layer 1: both passes saw the same image, so their gradients
+    # sum before the single image product; only the VAE pass saw a condition.
+    d_cls, d_vae = ws.dh1[:n], ws.dh1[n:]
+    np.matmul(d_vae.T, ws.one_hot, out=g("enc_w1")[:, d:])
+    d_cls += d_vae
+    nk.linear_backward(d_cls, x, None, g("enc_w1")[:, :d], g("enc_b1"))
+
+    model.tape.populated = True
+    return {"classification": ce, "reconstruction": rec, "kl": kl, "total": total}
 
 
 # ---------------------------------------------------------------------------

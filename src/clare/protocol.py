@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .dataio import LabeledDataset, subset_by_classes
 from .kernels import warmup
 from .metrics import evaluate
-from .model import ClareModel, expand_classes, total_loss
+from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
 from .replay import DecoderSnapshot, ReplayBuffer, balance_counts, generate_replay, take_snapshot
 
 TRACE_KEYS = ("total", "classification", "reconstruction", "kl")
@@ -97,28 +97,33 @@ def train_model(
 
     Returns per-epoch means of each loss component. One optimizer lives for
     the whole call; a fresh one is created per increment because class
-    expansion changes parameter shapes. A ``NonFiniteError`` is re-raised
-    with the epoch and step (both counted from 0) where training diverged
-    and the last loss components computed before it.
+    expansion changes parameter shapes. Each batch size gets one
+    ``StepWorkspace``, allocated at its first step and reused after, so a
+    short last batch has its own. A ``NonFiniteError`` is re-raised with the
+    epoch and step (both counted from 0) where training diverged and the
+    last loss components computed before it.
     """
     warmup()
+    images = nk.as_f64(images)
+    labels = np.asarray(labels, dtype=np.int64)
     n = images.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     state = nk.OptimizerState(config.optimizer, config.lr)
+    workspaces: dict[int, StepWorkspace] = {}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
     parts: dict[str, float] = {}
     for epoch in range(config.epochs):
         sums = dict.fromkeys(TRACE_KEYS, 0.0)
         batches = 0
         for step, idx in enumerate(nk.iter_minibatches(n, config.batch_size, rng)):
-            noise = rng.standard_normal((idx.shape[0], model.d_z))
-            model.tape.zero_grads()
+            ws = workspaces.get(idx.shape[0])
+            if ws is None:
+                ws = workspaces[idx.shape[0]] = StepWorkspace(model, idx.shape[0])
+            ws.gather(images, labels, idx)
+            rng.standard_normal(out=ws.noise)
             try:
-                loss, parts = total_loss(
-                    model, images[idx], labels[idx], noise, beta=config.beta
-                )
-                nk.backward(loss, model.tape)
+                parts = forward_backward(model, ws, config.beta)
                 nk.optimizer_step(model.tape, state)
             except nk.NonFiniteError as err:
                 last = ", ".join(f"{key}={value!r}" for key, value in parts.items())

@@ -8,6 +8,7 @@ import pytest
 from clare import kernels
 from clare.config import ExperimentConfig
 from clare.dataio import make_toy_dataset
+from clare.model import ClareModel, StepWorkspace, forward_backward
 from clare.protocol import IncrementState, _phase_seed, run_increment
 
 
@@ -51,6 +52,17 @@ def toy_trained(toy_config, toy_data):
         IncrementState(), train, test, toy_config, _phase_seed(5, 0)
     )
     return state
+
+
+def step_on(
+    model: ClareModel, x: np.ndarray, labels: np.ndarray, noise: np.ndarray, beta: float = 1.0
+) -> dict[str, float]:
+    """``forward_backward`` on one given batch, in a fresh workspace."""
+    ws = StepWorkspace(model, len(labels))
+    ws.x[...] = x
+    ws.labels[...] = labels
+    ws.noise[...] = noise
+    return forward_backward(model, ws, beta)
 
 
 # -- acceptance summary -------------------------------------------------------

@@ -82,6 +82,23 @@ def bce_oracle(x: np.ndarray, xhat: np.ndarray) -> float:
     return total / x.shape[0]
 
 
+def bce_logits_oracle(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bernoulli cross-entropy from logits and its gradient, branch by branch.
+
+    The stable sigmoid's two branches are taken by boolean indexing, one
+    element set at a time, with the same IEEE operations per element as a
+    branch-free form must use.
+    """
+    n = logits.shape[0]
+    per_elem = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+    s = np.empty_like(logits)
+    pos = logits >= 0.0
+    s[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    ex = np.exp(logits[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return float(per_elem.sum() / n), (s - targets) / n
+
+
 def cross_entropy_oracle(probs: np.ndarray, labels: np.ndarray) -> float:
     """Direct mean of -log p[true class]."""
     total = 0.0

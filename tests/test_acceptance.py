@@ -13,14 +13,15 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import record_acceptance, step_on
 
 import clare.numkit as nk
+from clare import kernels
 from clare.config import ExperimentConfig
 from clare.dataio import MNIST_FILES, load_mnist, parse_idx, subset_by_classes
 from clare.harness import run_cli
 from clare.metrics import average_over_tasks
-from clare.model import ClareModel, expand_classes, kl_divergence, LatentGaussian, total_loss
+from clare.model import ClareModel, expand_classes, kl_divergence, LatentGaussian
 from clare.protocol import build_schedule, run_experiment, run_finetune_baseline, run_joint_baseline
 from oracles import finite_difference, kl_monte_carlo
 
@@ -66,13 +67,12 @@ def test_a01_every_gradient_matches_finite_differences():
     labels = rng.integers(0, 2, size=4)
     noise = rng.standard_normal((4, 2))
 
-    def build():
-        return total_loss(model, x, labels, noise)[0]
+    def loss() -> float:
+        return step_on(model, x, labels, noise)["total"]
 
-    model.tape.zero_grads()
-    nk.backward(build(), model.tape)
+    loss()
     analytic = {n: model.tape.grad(n).copy() for n in model.tape.names()}
-    numeric = finite_difference(lambda: float(build().value), model.tape)
+    numeric = finite_difference(loss, model.tape)
 
     worst = 0.0
     for name in model.tape.names():
@@ -80,20 +80,17 @@ def test_a01_every_gradient_matches_finite_differences():
         denom = max(float(np.max(np.abs(want))), 1.0)
         worst = max(worst, float(np.max(np.abs(analytic[name] - want))) / denom)
 
-    # The training graph never touches the output sigmoid, so check that op
-    # (and the plain summation) through its own little graph.
-    tape = nk.ParamTape()
-    tape.add("w", rng.standard_normal((3, 2)))
+    # Training never runs the output sigmoid's backward (the decoder's logits
+    # go straight into the loss), so check that kernel on its own:
+    # d/dw sum(sigmoid(x @ w.T)) = sigmoid_bwd(1, y).T @ x.
+    tape = nk.ParamTape([("w", (3, 2))])
+    tape.param("w")[...] = rng.standard_normal((3, 2))
     aux_x = rng.standard_normal((5, 2))
-
-    def build_aux():
-        y = nk.sigmoid(nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(3)),
-                                         nk.constant(aux_x)))
-        return nk.sum_all(y)
-
-    nk.backward(build_aux(), tape)
-    aux_analytic = tape.grad("w").copy()
-    aux_numeric = finite_difference(lambda: float(build_aux().value), tape)["w"]
+    y = kernels.sigmoid_fwd(aux_x @ tape.param("w").T)
+    aux_analytic = kernels.sigmoid_bwd(np.ones_like(y), y).T @ aux_x
+    aux_numeric = finite_difference(
+        lambda: float(np.sum(kernels.sigmoid_fwd(aux_x @ tape.param("w").T))), tape
+    )["w"]
     denom = max(float(np.max(np.abs(aux_numeric))), 1.0)
     worst = max(worst, float(np.max(np.abs(aux_analytic - aux_numeric))) / denom)
 

@@ -280,6 +280,29 @@ class TestCli:
         with pytest.raises(UsageError, match="key = value"):
             read_config_file(str(cfg))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epochs = 3.5", "config key 'epochs' needs an integer, got '3.5'"),
+            ("lr = fast", "config key 'lr' needs a number, got 'fast'"),
+            ("enc_hidden = 64,wide", "config key 'enc_hidden' needs comma-separated integers"),
+        ],
+    )
+    def test_bad_config_value_names_key_and_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"dataset = toy\n# comment\n{line}\n")
+        with pytest.raises(UsageError) as err:
+            read_config_file(str(cfg))
+        assert str(err.value).startswith(f"{cfg}:3: {message}"), str(err.value)
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: {message}")
+
+    def test_duplicate_config_key_names_both_lines(self, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("epochs = 3\nseed = 1\n\nepochs = 4\n")
+        with pytest.raises(UsageError, match=r":4: duplicate key 'epochs' \(first set on line 1\)"):
+            read_config_file(str(cfg))
+
     def test_dump_replay_writes_idx_pairs(self, tmp_path, capsys):
         dump = tmp_path / "buffers"
         code = run_cli(TOY_ARGS + ["--dump-replay", str(dump)])

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clare import kernels
+from oracles import bce_logits_oracle
 
 needs_numba = pytest.mark.skipif(
     kernels.NUMBA_IMPLS is None, reason="numba is not importable"
@@ -167,3 +168,15 @@ class TestStability:
         loss, grad = kernels.bce_logits(logits, targets)
         assert np.isfinite(loss)
         assert np.isfinite(grad).all()
+
+
+class TestNumpyAgainstOracles:
+    def test_bce_logits_is_bit_identical_to_the_branchwise_formula(self):
+        rng = np.random.default_rng(9)
+        logits = rng.standard_normal((128, 784)) * 6.0
+        logits[0, :6] = [800.0, -800.0, 0.0, -0.0, 40.0, -40.0]
+        targets = rng.uniform(size=(128, 784))
+        loss, grad = kernels.NUMPY_IMPLS["bce_logits"](logits, targets)
+        want_loss, want_grad = bce_logits_oracle(logits, targets)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)

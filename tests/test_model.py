@@ -25,10 +25,12 @@ from clare.model import (
     reconstruction_loss,
     reparameterize,
     save_model,
-    total_loss,
+    StepWorkspace,
+    forward_backward,
     write_container,
 )
-from oracles import bce_oracle, cross_entropy_oracle
+from conftest import step_on
+from oracles import bce_oracle, cross_entropy_oracle, finite_difference
 
 MINI = dict(class_no=2, d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
 
@@ -267,6 +269,8 @@ class TestClassificationLoss:
 
 
 class TestTotalLoss:
+    """The objective and gradients of the hand-written training step."""
+
     def _batch(self, m, seed=11, n=8):
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(n, m.input_dim))
@@ -278,15 +282,14 @@ class TestTotalLoss:
         m = mini_model(12)
         x, labels, noise = self._batch(m)
         for beta in (0.0, 1.0, 2.5):
-            node, parts = total_loss(m, x, labels, noise, beta=beta)
+            parts = step_on(m, x, labels, noise, beta=beta)
             want = parts["classification"] + parts["reconstruction"] + beta * parts["kl"]
             assert parts["total"] == pytest.approx(want, abs=1e-12)
-            assert float(node.value) == pytest.approx(parts["total"], abs=1e-15)
 
     def test_components_match_standalone_functions(self):
         m = mini_model(13)
         x, labels, noise = self._batch(m)
-        _, parts = total_loss(m, x, labels, noise)
+        parts = step_on(m, x, labels, noise)
 
         probs = m.classify(x)
         assert parts["classification"] == pytest.approx(
@@ -303,8 +306,8 @@ class TestTotalLoss:
     def test_beta_reweights_only_kl(self):
         m = mini_model(14)
         x, labels, noise = self._batch(m)
-        _, p0 = total_loss(m, x, labels, noise, beta=0.0)
-        _, p2 = total_loss(m, x, labels, noise, beta=2.0)
+        p0 = step_on(m, x, labels, noise, beta=0.0)
+        p2 = step_on(m, x, labels, noise, beta=2.0)
         assert p2["total"] - p0["total"] == pytest.approx(2.0 * p0["kl"], rel=1e-12)
         assert p2["classification"] == p0["classification"]
         assert p2["reconstruction"] == p0["reconstruction"]
@@ -312,10 +315,9 @@ class TestTotalLoss:
     def test_single_step_reduces_loss(self):
         m = mini_model(15)
         x, labels, noise = self._batch(m, n=16)
-        node, before = total_loss(m, x, labels, noise)
-        nk.backward(node, m.tape)
+        before = step_on(m, x, labels, noise)
         nk.optimizer_step(m.tape, nk.OptimizerState("sgd", 1e-3))
-        _, after = total_loss(m, x, labels, noise)
+        after = step_on(m, x, labels, noise)
         assert after["total"] < before["total"]
 
     def test_beta_leaves_decoder_and_classifier_gradients_alone(self):
@@ -323,9 +325,7 @@ class TestTotalLoss:
         x, labels, noise = self._batch(m)
 
         def grads(beta):
-            m.tape.zero_grads()
-            node, _ = total_loss(m, x, labels, noise, beta=beta)
-            nk.backward(node, m.tape)
+            step_on(m, x, labels, noise, beta=beta)
             return {n: m.tape.grad(n).copy() for n in m.tape.names()}
 
         g0, g5 = grads(0.0), grads(5.0)
@@ -335,10 +335,50 @@ class TestTotalLoss:
         assert not np.array_equal(g0["enc_wlv"], g5["enc_wlv"])
 
     def test_noise_shape_checked(self):
+        # The noise buffer belongs to the workspace, so a workspace built for
+        # another latent width is refused rather than broadcast.
         m = mini_model()
-        x, labels, _ = self._batch(m)
-        with pytest.raises(ValueError):
-            total_loss(m, x, labels, np.zeros((len(x), m.d_z + 1)))
+        other = ClareModel(**{**MINI, "d_z": m.d_z + 1})
+        with pytest.raises(ValueError, match="workspace shapes"):
+            forward_backward(m, StepWorkspace(other, 8))
+
+    def test_labels_out_of_range_rejected(self):
+        m = mini_model()
+        x, labels, noise = self._batch(m)
+        labels[3] = m.class_no
+        with pytest.raises(ValueError, match="class index out of range"):
+            step_on(m, x, labels, noise)
+
+    def test_clip_beta_and_absent_class_match_finite_differences(self):
+        # beta != 1, three classes with class 1 absent from the batch, and
+        # two latent dimensions whose log-variance sits clipped at +10 / -10.
+        m = ClareModel(
+            class_no=3, d_z=3, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8),
+            rng=np.random.default_rng(21),
+        )
+        m.tape.param("enc_blv")[:2] = [30.0, -30.0]
+        rng = np.random.default_rng(22)
+        x = rng.uniform(size=(6, 6))
+        labels = np.array([0, 2, 2, 0, 2, 0])
+        noise = rng.standard_normal((6, 3))
+
+        def loss() -> float:
+            return step_on(m, x, labels, noise, beta=0.5)["total"]
+
+        loss()
+        analytic = {n: m.tape.grad(n).copy() for n in m.tape.names()}
+        numeric = finite_difference(loss, m.tape)
+        for name in m.tape.names():
+            want = numeric[name]
+            err = np.max(np.abs(analytic[name] - want)) / max(np.max(np.abs(want)), 1.0)
+            assert err <= 1e-5, f"{name}: rel err {err:.3g}"
+        # The clip blocks every gradient into the two clipped dimensions, and
+        # the absent class's condition columns get none.
+        assert not analytic["enc_wlv"][:2].any() and not analytic["enc_blv"][:2].any()
+        assert analytic["enc_wlv"][2].any()
+        assert not analytic["enc_w1"][:, 6 + 1].any()
+        assert not analytic["dec_w1"][:, 3 + 1].any()
+        assert analytic["cls_w"][1].any()
 
 
 class TestExpansion:

@@ -1,4 +1,4 @@
-"""Autodiff graph, tape, and optimizer behavior."""
+"""Array ops, gradient rules, the parameter tape, and optimizer behavior."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 
 import clare.numkit as nk
 from clare import kernels
+from clare.model import ClareModel
+from conftest import step_on
 from oracles import adam_oracle, finite_difference, linear_oracle
 
 FD_TOL = 1e-5
@@ -48,230 +50,218 @@ class TestLinearForward:
             nk.linear_forward(np.ones((2, 3)), np.ones(4), np.ones((4, 3)))
 
 
-class TestGradients:
-    """Every op's backward against central finite differences."""
+MINI = dict(class_no=2, d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
 
-    def _check(self, tape, build, tol=FD_TOL):
-        loss = build()
-        tape.zero_grads()
-        nk.backward(loss, tape)
-        analytic = {name: tape.grad(name).copy() for name in tape.names()}
-        numeric = finite_difference(lambda: float(np.asarray(build().value)), tape)
-        for name in tape.names():
+
+def _mini_step(seed: int, **params):
+    """A seeded mini model and batch; ``params`` overwrite named tensors."""
+    rng = np.random.default_rng(seed)
+    model = ClareModel(rng=rng, **MINI)
+    for name, value in params.items():
+        model.tape.param(name)[...] = value
+    x = rng.uniform(size=(5, 6))
+    labels = np.array([0, 1, 1, 0, 1])
+    noise = rng.standard_normal((5, 2))
+    return model, lambda: step_on(model, x, labels, noise)["total"]
+
+
+class TestGradients:
+    """Each gradient rule the training step uses, against central differences."""
+
+    def _check(self, tape, loss, analytic, names=None, tol=FD_TOL):
+        numeric = finite_difference(loss, tape, names)
+        for name in names if names is not None else tape.names():
             err = _rel_err(analytic[name], numeric[name])
             assert err <= tol, f"{name}: rel err {err:.3g}"
 
+    def _tape(self, rng, **shapes):
+        tape = nk.ParamTape(shapes.items())
+        for name, _ in tape.shapes():
+            tape.param(name)[...] = rng.standard_normal(tape.param(name).shape)
+        return tape
+
+    def _linear_grads(self, tape, g, x):
+        dw, db = np.empty_like(tape.param("w")), np.empty_like(tape.param("b"))
+        nk.linear_backward(g, x, tape.param("w"), dw, db)
+        return {"w": dw, "b": db}
+
     def test_linear_relu_chain(self):
         rng = np.random.default_rng(1)
-        tape = nk.ParamTape()
-        tape.add("w", rng.standard_normal((3, 4)))
-        tape.add("b", rng.standard_normal(3))
+        tape = self._tape(rng, w=(3, 4), b=(3,))
         x = rng.standard_normal((5, 4))
 
-        def build():
-            y = nk.relu(nk.linear_forward(tape.leaf("w"), tape.leaf("b"), nk.constant(x)))
-            return nk.scale(nk.sum_all(y), 1.0 / y.value.size)
+        def loss():
+            return float(np.mean(nk.relu(nk.linear_forward(tape.param("w"), tape.param("b"), x))))
 
-        self._check(tape, build)
+        pre = nk.linear_forward(tape.param("w"), tape.param("b"), x)
+        g = kernels.relu_bwd(np.full(pre.shape, 1.0 / pre.size), pre)
+        self._check(tape, loss, self._linear_grads(tape, g, x))
 
     def test_sigmoid(self):
         rng = np.random.default_rng(2)
-        tape = nk.ParamTape()
-        tape.add("w", rng.standard_normal((2, 3)))
-        x = rng.standard_normal((4, 3))
+        tape = self._tape(rng, p=(4, 3))
 
-        def build():
-            y = nk.sigmoid(nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(2)), nk.constant(x)))
-            return nk.sum_all(y)
+        def loss():
+            return float(np.sum(kernels.sigmoid_fwd(tape.param("p"))))
 
-        self._check(tape, build)
+        y = kernels.sigmoid_fwd(tape.param("p"))
+        self._check(tape, loss, {"p": kernels.sigmoid_bwd(np.ones_like(y), y)})
 
     def test_concat_columns_routes_both_sides(self):
-        rng = np.random.default_rng(3)
-        tape = nk.ParamTape()
-        tape.add("a", rng.standard_normal((3, 2)))
-        tape.add("b", rng.standard_normal((3, 4)))
-
-        def build():
-            joined = nk.concat_columns(tape.leaf("a"), tape.leaf("b"))
-            return nk.sum_all(nk.sigmoid(joined))
-
-        self._check(tape, build)
+        # The step never concatenates [input, one-hot]: it adds the condition
+        # column instead. Both column blocks of each first-layer weight must
+        # still get the gradient the concatenated layer would.
+        model, loss = _mini_step(3)
+        loss()
+        analytic = {n: model.tape.grad(n).copy() for n in ("enc_w1", "dec_w1")}
+        self._check(model.tape, loss, analytic, names=("enc_w1", "dec_w1"))
+        assert analytic["enc_w1"][:, :6].any() and analytic["enc_w1"][:, 6:].any()
+        assert analytic["dec_w1"][:, :2].any() and analytic["dec_w1"][:, 2:].any()
 
     def test_clip_interior_points(self):
         # FD is only valid away from the clip boundaries, so keep values inside.
-        rng = np.random.default_rng(4)
-        tape = nk.ParamTape()
-        tape.add("p", rng.uniform(-0.5, 0.5, size=(3, 3)))
-
-        def build():
-            return nk.sum_all(nk.sigmoid(nk.clip(tape.leaf("p"), -1.0, 1.0)))
-
-        self._check(tape, build)
+        model, loss = _mini_step(4, enc_blv=[0.5, -0.5])
+        loss()
+        analytic = {n: model.tape.grad(n).copy() for n in ("enc_wlv", "enc_blv")}
+        assert analytic["enc_blv"].all()
+        self._check(model.tape, loss, analytic, names=("enc_wlv", "enc_blv"))
 
     def test_clip_blocks_gradient_outside_range(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.array([[5.0, -5.0, 0.2]]))
-        loss = nk.sum_all(nk.clip(tape.leaf("p"), -1.0, 1.0))
-        nk.backward(loss, tape)
-        assert_allclose(tape.grad("p"), [[0.0, 0.0, 1.0]], rtol=0, atol=0)
+        model, loss = _mini_step(4, enc_blv=[30.0, -30.0])
+        loss()
+        assert not model.tape.grad("enc_wlv").any()
+        assert not model.tape.grad("enc_blv").any()
+        assert model.tape.grad("enc_wmu").any()
 
     def test_reparameterize_draw(self):
         rng = np.random.default_rng(5)
-        tape = nk.ParamTape()
-        tape.add("mu", rng.standard_normal((4, 3)))
-        tape.add("lv", rng.uniform(-1, 1, size=(4, 3)))
+        tape = self._tape(rng, mu=(4, 3), lv=(4, 3))
         noise = rng.standard_normal((4, 3))
+        w = rng.standard_normal((4, 3))
 
-        def build():
-            z = nk.reparameterize_draw(tape.leaf("mu"), tape.leaf("lv"), noise)
-            return nk.sum_all(nk.sigmoid(z))
+        def loss():
+            return float(np.sum(w * kernels.reparam_fwd(tape.param("mu"), tape.param("lv"), noise)))
 
-        self._check(tape, build)
+        analytic = {"mu": w, "lv": kernels.reparam_dlv(w, tape.param("lv"), noise)}
+        self._check(tape, loss, analytic)
 
     def test_kl_to_standard_normal(self):
         rng = np.random.default_rng(6)
-        tape = nk.ParamTape()
-        tape.add("mu", rng.standard_normal((5, 2)))
-        tape.add("lv", rng.uniform(-2, 2, size=(5, 2)))
+        tape = self._tape(rng, mu=(5, 2), lv=(5, 2))
 
-        def build():
-            return nk.kl_to_standard_normal(tape.leaf("mu"), tape.leaf("lv"))
+        def loss():
+            return nk.kl_to_standard_normal(tape.param("mu"), tape.param("lv"))
 
-        self._check(tape, build)
+        _, dmu, dlv = kernels.kl_terms(tape.param("mu"), tape.param("lv"))
+        self._check(tape, loss, {"mu": dmu, "lv": dlv})
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(7)
-        tape = nk.ParamTape()
-        tape.add("w", rng.standard_normal((4, 6)))
-        x = rng.standard_normal((9, 6))
+        tape = self._tape(rng, logits=(9, 4))
         labels = rng.integers(0, 4, size=9)
 
-        def build():
-            logits = nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(4)), nk.constant(x))
-            return nk.softmax_cross_entropy(logits, labels)
+        def loss():
+            return kernels.softmax_xent(tape.param("logits"), labels)[0]
 
-        self._check(tape, build)
+        self._check(tape, loss, {"logits": kernels.softmax_xent(tape.param("logits"), labels)[1]})
 
     def test_bce_with_logits(self):
         rng = np.random.default_rng(8)
-        tape = nk.ParamTape()
-        tape.add("w", rng.standard_normal((5, 3)))
-        x = rng.standard_normal((6, 3))
+        tape = self._tape(rng, logits=(6, 5))
+        tape.param("logits")[0, :2] = [40.0, -40.0]
         targets = rng.uniform(0, 1, size=(6, 5))
 
-        def build():
-            logits = nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(5)), nk.constant(x))
-            return nk.bce_with_logits(logits, targets)
+        def loss():
+            return kernels.bce_logits(tape.param("logits"), targets)[0]
 
-        self._check(tape, build)
+        self._check(tape, loss, {"logits": kernels.bce_logits(tape.param("logits"), targets)[1]})
 
     def test_sum_of_affine_outer_product_by_hand(self):
         # loss = sum(x @ W.T + b): dW stacks x's row once per output, db is ones.
-        tape = nk.ParamTape()
-        tape.add("w", np.array([[0.3, -0.7], [1.1, 0.4]]))
-        tape.add("b", np.array([0.0, 0.0]))
+        w = np.array([[0.3, -0.7], [1.1, 0.4]])
         x = np.array([[2.0, 5.0]])
-        loss = nk.sum_all(nk.linear_forward(tape.leaf("w"), tape.leaf("b"), nk.constant(x)))
-        nk.backward(loss, tape)
-        assert_allclose(tape.grad("w"), [[2.0, 5.0], [2.0, 5.0]], rtol=0, atol=0)
-        assert_allclose(tape.grad("b"), [1.0, 1.0], rtol=0, atol=0)
+        dw, db, dx = np.empty((2, 2)), np.empty(2), np.empty((1, 2))
+        nk.linear_backward(np.ones((1, 2)), x, w, dw, db, dx)
+        assert_allclose(dw, [[2.0, 5.0], [2.0, 5.0]], rtol=0, atol=0)
+        assert_allclose(db, [1.0, 1.0], rtol=0, atol=0)
+        assert_allclose(dx, [[1.4, -0.3]], rtol=1e-15)
 
     def test_cross_entropy_at_zero_weights_is_nonzero(self):
         # Uniform predictions still disagree with one-hot labels, so learning
         # must be able to start from an all-zero classifier.
-        tape = nk.ParamTape()
-        tape.add("w", np.zeros((3, 4)))
-        x = np.random.default_rng(9).standard_normal((6, 4))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        logits = nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(3)), nk.constant(x))
-        loss = nk.softmax_cross_entropy(logits, labels)
-        nk.backward(loss, tape)
-        g = tape.grad("w")
+        model, loss = _mini_step(9, cls_w=0.0)
+        loss()
+        g = model.tape.grad("cls_w")
         assert np.isfinite(g).all()
         assert np.abs(g).max() > 0.0
 
-    def test_constant_branch_skipped(self):
-        tape = nk.ParamTape()
-        tape.add("w", np.ones((2, 2)))
-        c = nk.constant(np.full((1, 2), 3.0))
-        assert not c.requires_grad
-        loss = nk.add(nk.sum_all(nk.linear_forward(tape.leaf("w"), nk.constant(np.zeros(2)), c)),
-                      nk.sum_all(nk.sigmoid(c)))
-        nk.backward(loss, tape)
-        assert np.isfinite(tape.grad("w")).all()
-
-    def test_gradients_accumulate_until_zeroed(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.array([[1.0]]))
-
-        def run():
-            nk.backward(nk.scale(nk.sum_all(tape.leaf("p")), 3.0), tape)
-
-        run()
-        run()
-        assert tape.grad("p")[0, 0] == pytest.approx(6.0)
-        tape.zero_grads()
-        assert tape.grad("p")[0, 0] == 0.0
+    def test_gradients_are_assigned_not_accumulated(self):
+        model, loss = _mini_step(10)
+        model.tape.flat_grads[...] = np.nan
+        loss()
+        first = model.tape.flat_grads.copy()
+        assert np.isfinite(first).all()
+        loss()
+        assert np.array_equal(model.tape.flat_grads, first)
+        assert model.tape.populated
 
 
-def _quadratic_loss(tape: nk.ParamTape) -> nk.Node:
-    # (p - 3)^2 assembled from existing ops: 2 * KL(N(p - 3, 1) || N(0, 1)).
-    shifted = nk.add(tape.leaf("p"), nk.constant(np.array([[-3.0]])))
-    return nk.scale(nk.kl_to_standard_normal(shifted, nk.constant(np.zeros((1, 1)))), 2.0)
+def _set_quadratic_grad(tape: nk.ParamTape) -> None:
+    """Gradient of (p - 3)^2, as the step would leave it."""
+    tape.grad("p")[...] = 2.0 * (tape.param("p") - 3.0)
+    tape.populated = True
 
 
 class TestOptimizers:
-    def test_sgd_single_step(self):
+    def _tape(self, value) -> nk.ParamTape:
         tape = nk.ParamTape()
-        tape.add("p", np.array([[1.0]]))
-        loss = nk.scale(nk.sum_all(tape.leaf("p")), 2.0)  # gradient is exactly 2
-        nk.backward(loss, tape)
+        tape.add("p", np.array(value, dtype=float))
+        return tape
+
+    def test_sgd_single_step(self):
+        tape = self._tape([[1.0]])
+        tape.grad("p")[...] = 2.0
+        tape.populated = True
         nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
         assert tape.param("p")[0, 0] == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize("g", [0.001, 5.0, -37.0])
     def test_adam_first_step_has_lr_magnitude(self, g):
-        tape = nk.ParamTape()
-        tape.add("p", np.array([[0.0]]))
-        nk.backward(nk.scale(nk.sum_all(tape.leaf("p")), g), tape)
+        tape = self._tape([[0.0]])
+        tape.grad("p")[...] = g
+        tape.populated = True
         nk.optimizer_step(tape, nk.OptimizerState("adam", 0.01))
         step = tape.param("p")[0, 0]
         assert step == pytest.approx(-np.sign(g) * 0.01, rel=1e-4)
 
     def test_sgd_converges_on_quadratic(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.array([[0.0]]))
+        tape = self._tape([[0.0]])
         state = nk.OptimizerState("sgd", 0.1)
         for _ in range(100):
-            tape.zero_grads()
-            nk.backward(_quadratic_loss(tape), tape)
+            _set_quadratic_grad(tape)
             nk.optimizer_step(tape, state)
         assert tape.param("p")[0, 0] == pytest.approx(3.0, abs=1e-6)
 
     def test_adam_converges_on_quadratic(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.array([[0.0]]))
+        tape = self._tape([[0.0]])
         state = nk.OptimizerState("adam", 0.1)
         for _ in range(100):
-            tape.zero_grads()
-            nk.backward(_quadratic_loss(tape), tape)
+            _set_quadratic_grad(tape)
             nk.optimizer_step(tape, state)
         assert tape.param("p")[0, 0] == pytest.approx(3.0, abs=0.05)
 
     def test_step_before_backward_rejected(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.ones(3))
+        tape = self._tape(np.ones(3))
         with pytest.raises(RuntimeError, match="before backward"):
             nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
 
-    def test_zero_grads_revokes_population(self):
-        tape = nk.ParamTape()
-        tape.add("p", np.ones((1, 1)))
-        nk.backward(nk.sum_all(tape.leaf("p")), tape)
-        tape.zero_grads()
-        with pytest.raises(RuntimeError):
-            nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
+    def test_second_update_needs_fresh_gradients(self):
+        tape = self._tape(np.ones((1, 1)))
+        _set_quadratic_grad(tape)
+        state = nk.OptimizerState("sgd", 0.1)
+        nk.optimizer_step(tape, state)
+        with pytest.raises(RuntimeError, match="before backward"):
+            nk.optimizer_step(tape, state)
 
     def test_bad_optimizer_settings_rejected(self):
         with pytest.raises(ValueError):
@@ -296,7 +286,9 @@ class TestTapeContracts:
     def test_unknown_leaf_rejected(self):
         tape = nk.ParamTape()
         with pytest.raises(KeyError):
-            tape.leaf("nope")
+            tape.param("nope")
+        with pytest.raises(KeyError):
+            tape.grad("nope")
 
     def test_copy_is_independent(self):
         tape = nk.ParamTape()
@@ -338,8 +330,6 @@ class TestFlatStore:
             assert np.shares_memory(tape.grad(name), tape.flat_grads), name
         tape.grad("b2")[...] = 4.0
         assert np.array_equal(tape.flat_grads[-3:], [4.0, 4.0, 4.0])
-        tape.zero_grads()
-        assert not tape.flat_grads.any()
 
     def test_add_appends_to_the_flat_buffers(self):
         tape = nk.ParamTape()
@@ -405,12 +395,10 @@ class TestFlatStore:
         checked = []
         real = nk.check_finite
         monkeypatch.setattr(nk, "check_finite", lambda v, what: (checked.append(v), real(v, what)))
-        loss = nk.sum_all(nk.add(tape.leaf("w1"), tape.leaf("w1")))
-        nk.backward(loss, tape)
+        tape.flat_grads[...] = 1.0
+        tape.populated = True
         nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3))
-        assert [id(v) for v in checked] == [
-            id(tape.flat_grads), id(tape.flat_grads), id(tape.flat_params)
-        ]
+        assert [id(v) for v in checked] == [id(tape.flat_grads), id(tape.flat_params)]
 
     def test_nan_in_last_gradient_is_named(self):
         tape = _flat_tape(5)
@@ -426,55 +414,37 @@ class TestFlatStore:
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
             nk.optimizer_step(tape, nk.OptimizerState("sgd", 1e-3))
 
-    def test_backward_names_the_bad_gradient(self):
-        tape = _flat_tape(7)
-        loss = nk.scale(nk.sum_all(tape.leaf("b1")), float("inf"))
-        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'b1'$"):
-            nk.backward(loss, tape)
-
 
 class TestNonFinite:
     def test_nan_gradient_is_a_hard_error(self):
         tape = nk.ParamTape()
         tape.add("p", np.array([[1.0]]))
-        loss = nk.scale(nk.sum_all(tape.leaf("p")), float("nan"))
+        tape.grad("p")[...] = np.nan
+        tape.populated = True
         with pytest.raises(nk.NonFiniteError):
-            nk.backward(loss, tape)
+            nk.optimizer_step(tape, nk.OptimizerState("adam", 0.1))
+        assert tape.param("p")[0, 0] == 1.0
 
     def test_optimizer_checks_gradients(self):
         tape = nk.ParamTape()
         tape.add("p", np.array([1.0]))
-        nk.backward(nk.sum_all(tape.leaf("p")), tape)
         tape.grad("p")[0] = np.inf
+        tape.populated = True
         with pytest.raises(nk.NonFiniteError):
             nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
 
 
 class TestDeterminism:
-    def _train_once(self) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(123)
-        tape = nk.ParamTape()
-        tape.add("w", nk.glorot_uniform(rng, 2, 3))
-        tape.add("b", np.zeros(2))
-        x = rng.standard_normal((32, 3))
-        labels = rng.integers(0, 2, size=32)
+    def _train_once(self) -> np.ndarray:
+        model, loss = _mini_step(123)
         state = nk.OptimizerState("adam", 1e-2)
-        batch_rng = np.random.default_rng(456)
         for _ in range(5):
-            for idx in nk.iter_minibatches(32, 8, batch_rng):
-                tape.zero_grads()
-                logits = nk.linear_forward(
-                    tape.leaf("w"), tape.leaf("b"), nk.constant(x[idx])
-                )
-                nk.backward(nk.softmax_cross_entropy(logits, labels[idx]), tape)
-                nk.optimizer_step(tape, state)
-        return {name: tape.param(name).copy() for name in tape.names()}
+            loss()
+            nk.optimizer_step(model.tape, state)
+        return model.tape.flat_params.copy()
 
     def test_same_seed_same_bits(self):
-        first = self._train_once()
-        second = self._train_once()
-        for name in first:
-            assert np.array_equal(first[name], second[name]), name
+        assert np.array_equal(self._train_once(), self._train_once())
 
 
 class TestInitializer:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clare import numkit as nk
+from clare import protocol
 from clare.config import ExperimentConfig
 from clare.dataio import LabeledDataset, make_toy_dataset, subset_by_classes
+from clare.model import ClareModel, StepWorkspace, forward_backward
 from clare.protocol import (
     IncrementState,
     _phase_seed,
@@ -19,6 +22,7 @@ from clare.protocol import (
     run_finetune_baseline,
     run_increment,
     run_joint_baseline,
+    train_model,
 )
 
 # Small enough to train in well under a second per increment.
@@ -187,6 +191,79 @@ class TestDivergence:
         config = replace(FAST, optimizer="sgd", lr=1e308)
         with pytest.raises(nk.NonFiniteError, match=r"^increment 0: .* at epoch 0, step 1 "):
             run_increment(IncrementState(), subset_by_classes(train, [0, 1]), test, config, 3)
+
+
+class TestStepWorkspace:
+    def _step(self, model, ws, state, images, labels, rows, rng):
+        ws.gather(images, labels, rows)
+        rng.standard_normal(out=ws.noise)
+        forward_backward(model, ws)
+        nk.optimizer_step(model.tape, state)
+
+    def test_steady_state_digit_step_allocates_under_2_mib(self):
+        # 784-512-256-64 at batch 128: every activation and gradient lives in
+        # the workspace or the tape; what is left is kernel temporaries.
+        model = ClareModel(class_no=10, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        images = rng.uniform(size=(256, 784))
+        labels = rng.integers(0, 10, size=256)
+        ws = StepWorkspace(model, 128)
+        state = nk.OptimizerState("adam", 1e-3)
+        self._step(model, ws, state, images, labels, np.arange(128), rng)
+        buffers = dict(vars(ws))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            self._step(model, ws, state, images, labels, np.arange(128, 256), rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"step peak {peak / 2**20:.2f} MiB"
+        assert vars(ws).keys() == buffers.keys()
+        for name, value in buffers.items():
+            assert vars(ws)[name] is value, name
+
+    def test_one_workspace_per_batch_size_and_results_match_fresh_ones(self, monkeypatch):
+        config = replace(FAST, epochs=2)
+        rng = np.random.default_rng(5)
+        images = rng.uniform(size=(40, 4))
+        labels = rng.integers(0, 3, size=40)
+
+        def fresh_model():
+            return ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
+                              dec_hidden=(10, 12), rng=np.random.default_rng(6))
+
+        # Reference: a fresh workspace for every step, so nothing carries over.
+        want = fresh_model()
+        state = nk.OptimizerState(config.optimizer, config.lr)
+        ref_rng = np.random.default_rng(7)
+        for _ in range(config.epochs):
+            for idx in nk.iter_minibatches(40, config.batch_size, ref_rng):
+                self._step(want, StepWorkspace(want, idx.shape[0]), state, images, labels,
+                           idx, ref_rng)
+
+        made, seen = [], []
+
+        class Recording(StepWorkspace):
+            def __init__(self, model, batch):
+                super().__init__(model, batch)
+                made.append(self)
+
+        def spy(model, ws, beta=1.0):
+            seen.append((ws, {name: id(value) for name, value in vars(ws).items()}))
+            return forward_backward(model, ws, beta)
+
+        monkeypatch.setattr(protocol, "StepWorkspace", Recording)
+        monkeypatch.setattr(protocol, "forward_backward", spy)
+        got = fresh_model()
+        train_model(got, images, labels, config, np.random.default_rng(7))
+
+        # Batches of 16, 16 and a short 8, twice: two workspaces, each reused.
+        assert [ws.n for ws in made] == [16, 8]
+        assert [ws.n for ws, _ in seen] == [16, 16, 8] * 2
+        for ws, ids in seen:
+            assert ids == {name: id(value) for name, value in vars(ws).items()}
+        assert np.array_equal(got.tape.flat_params, want.tape.flat_params)
 
 
 class TestDeterminism:

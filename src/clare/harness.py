@@ -88,11 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str, strict: bool = False) -> dict[str, str]:
     """Parse ``key = value`` lines; blanks and ``#`` comments are skipped.
 
     Values of known config keys are checked here, so an error names the
-    file and line; a key given twice is rejected with both lines.
+    file and line; a key given twice is rejected with both lines. Unknown
+    keys pass through, unless ``strict`` rejects them the same way.
     """
     items: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -109,7 +110,7 @@ def read_config_file(path: str) -> dict[str, str]:
                     raise UsageError(
                         f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
                     )
-                if key in CONFIG_KEYS:
+                if strict or key in CONFIG_KEYS:
                     try:
                         parse_field(key, value)
                     except ValueError as exc:
@@ -124,7 +125,7 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """Layer the effective config: defaults, then config file, then flags."""
     if args.config:
         try:
-            config = config_from_items(read_config_file(args.config))
+            config = config_from_items(read_config_file(args.config, strict=True))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     else:

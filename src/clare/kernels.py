@@ -42,9 +42,10 @@ UNIT_EPS = 1e-12
 # rows stay strictly positive even for extreme logit gaps.
 _TINY = np.finfo(np.float64).tiny
 
-# Elements per block of the in-place numpy Adam pass: small enough that a
-# block of p, g, m, v and the two scratch buffers stays in cache.
-ADAM_BLOCK = 1 << 15
+# Elements per block of the in-place numpy passes (Adam, SGD, sigmoid):
+# small enough that a block of every operand and scratch buffer stays in
+# cache.
+BLOCK = 1 << 15
 
 
 def _env_wants_numba() -> bool:
@@ -62,21 +63,33 @@ USE_NUMBA = _env_wants_numba()
 # ---------------------------------------------------------------------------
 
 
-def _np_relu_fwd(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def _np_relu_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def _np_relu_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, g, 0.0)
 
 
-def _np_sigmoid_fwd(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp() never overflows.
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _np_sigmoid_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Mask-free over blocks of rows, so exp() never overflows and no
+    # full-size temporary is made: e = exp(-|x|), then where(x >= 0, 1, e)
+    # / (1 + e), per element the IEEE operations of the two branches
+    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)). ``out`` may be ``x``.
+    if out is None:
+        out = np.empty_like(x)
+    rows = max(1, BLOCK // max(1, math.prod(x.shape[1:])))
+    e = np.empty((min(rows, x.shape[0]),) + x.shape[1:])
+    pos = np.empty(e.shape, dtype=bool)
+    for start in range(0, x.shape[0], rows):
+        stop = min(start + rows, x.shape[0])
+        xb, ob = x[start:stop], out[start:stop]
+        eb, pb = e[: stop - start], pos[: stop - start]
+        np.greater_equal(xb, 0.0, out=pb)
+        np.exp(np.negative(np.abs(xb, out=eb), out=eb), out=eb)
+        np.add(eb, 1.0, out=ob)
+        np.copyto(eb, 1.0, where=pb)
+        np.divide(eb, ob, out=ob)
     np.clip(out, UNIT_EPS, 1.0 - UNIT_EPS, out=out)
     return out
 
@@ -163,7 +176,7 @@ def _np_adam_step(
     scratch: np.ndarray | None = None,
 ) -> None:
     # In place over fixed-size blocks with two small scratch buffers, the
-    # rows of ``scratch`` (shape ``(2, min(n, ADAM_BLOCK))``, allocated here
+    # rows of ``scratch`` (shape ``(2, min(n, BLOCK))``, allocated here
     # when not given). Each element sees the IEEE operations of the textbook
     # expression in its order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
     # p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
@@ -171,10 +184,10 @@ def _np_adam_step(
     bc2 = 1.0 - beta2**t
     n = p.shape[0]
     if scratch is None:
-        scratch = np.empty((2, min(n, ADAM_BLOCK)))
+        scratch = np.empty((2, min(n, BLOCK)))
     scratch_a, scratch_b = scratch
-    for start in range(0, n, ADAM_BLOCK):
-        stop = min(start + ADAM_BLOCK, n)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
         pb, gb, mb, vb = p[start:stop], g[start:stop], m[start:stop], v[start:stop]
         a = scratch_a[: stop - start]
         b = scratch_b[: stop - start]
@@ -194,8 +207,19 @@ def _np_adam_step(
         np.subtract(pb, b, out=pb)
 
 
-def _np_sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
-    p -= lr * g
+def _np_sgd_step(
+    p: np.ndarray, g: np.ndarray, lr: float, scratch: np.ndarray | None = None
+) -> None:
+    # In place over blocks, ``lr * g`` held in the first row of ``scratch``
+    # (allocated here when not given): per element exactly p - lr*g.
+    n = p.shape[0]
+    if scratch is None:
+        scratch = np.empty((1, min(n, BLOCK)))
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        a = scratch[0, : stop - start]
+        np.multiply(g[start:stop], lr, out=a)
+        np.subtract(p[start:stop], a, out=p[start:stop])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +229,9 @@ def _np_sgd_step(p: np.ndarray, g: np.ndarray, lr: float) -> None:
 if _HAS_NUMBA:
 
     @njit(cache=True)
-    def _nb_relu_fwd(x):
-        out = np.empty_like(x)
+    def _nb_relu_fwd(x, out=None):
+        if out is None:
+            out = np.empty_like(x)
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):
                 v = x[i, j]
@@ -222,8 +247,9 @@ if _HAS_NUMBA:
         return out
 
     @njit(cache=True)
-    def _nb_sigmoid_fwd(x):
-        out = np.empty_like(x)
+    def _nb_sigmoid_fwd(x, out=None):
+        if out is None:
+            out = np.empty_like(x)
         lo = UNIT_EPS
         hi = 1.0 - UNIT_EPS
         for i in range(x.shape[0]):
@@ -366,7 +392,7 @@ if _HAS_NUMBA:
             p[i] -= lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
 
     @njit(cache=True)
-    def _nb_sgd_step(p, g, lr):
+    def _nb_sgd_step(p, g, lr, scratch=None):
         for i in range(p.shape[0]):
             p[i] -= lr * g[i]
 

@@ -199,14 +199,51 @@ class ClareModel:
         return other
 
 
-def decoder_forward(params: Mapping[str, np.ndarray] | Callable[[str], object], z, c):
-    """Run the decoder stack from a parameter mapping (model or snapshot)."""
+class DecodeBuffers:
+    """Decoder input and hidden activations for up to ``rows`` rows.
+
+    ``z`` and ``c`` are separate contiguous blocks for the caller to fill (a
+    generator draws only into contiguous memory); ``decoder_forward`` joins
+    them into ``zc`` and writes the hidden layers into ``h1`` and ``h2``.
+    """
+
+    def __init__(self, params: Mapping[str, np.ndarray], d_z: int, rows: int):
+        w1, w2 = params["dec_w1"], params["dec_w2"]
+        self.z = np.empty((rows, d_z))
+        self.c = np.zeros((rows, w1.shape[1] - d_z))
+        self.zc = np.empty((rows, w1.shape[1]))
+        self.h1 = np.empty((rows, w1.shape[0]))
+        self.h2 = np.empty((rows, w2.shape[0]))
+
+    def condition_on(self, cls: int) -> None:
+        """Make every row of ``c`` the one-hot code of ``cls``."""
+        self.c.fill(0.0)
+        self.c[:, cls] = 1.0
+
+
+def decoder_forward(
+    params: Mapping[str, np.ndarray] | Callable[[str], object],
+    z,
+    c,
+    out: np.ndarray | None = None,
+    buffers: DecodeBuffers | None = None,
+):
+    """Run the decoder stack from a parameter mapping (model or snapshot).
+
+    Without ``buffers`` the joined input and the hidden activations are new
+    arrays; with them, they are written into its first ``len(z)`` rows. The
+    result goes into ``out`` when given. The arithmetic is the same.
+    """
     get = params if callable(params) else params.__getitem__
-    h = nk.concat_columns(z, c)
-    h = nk.relu(nk.linear_forward(get("dec_w1"), get("dec_b1"), h))
-    h = nk.relu(nk.linear_forward(get("dec_w2"), get("dec_b2"), h))
-    logits = nk.linear_forward(get("dec_w3"), get("dec_b3"), h)
-    return nk.sigmoid(logits)
+    zc = h1 = h2 = None
+    if buffers is not None:
+        n = len(z)
+        zc, h1, h2 = buffers.zc[:n], buffers.h1[:n], buffers.h2[:n]
+    h = nk.concat_columns(z, c, out=zc)
+    h = nk.linear_forward(get("dec_w1"), get("dec_b1"), h, out=h1)
+    h = nk.linear_forward(get("dec_w2"), get("dec_b2"), nk.relu(h, out=h), out=h2)
+    logits = nk.linear_forward(get("dec_w3"), get("dec_b3"), nk.relu(h, out=h), out=out)
+    return nk.sigmoid(logits, out=logits)
 
 
 # ---------------------------------------------------------------------------

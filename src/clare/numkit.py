@@ -156,14 +156,20 @@ def _check_linear_shapes(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"bias shape {b.shape} does not match weight shape {w.shape}")
 
 
-def linear_forward(w, b, x):
+def linear_forward(w, b, x, out=None):
     """Affine map ``y[i, j] = sum_k x[i, k] * w[j, k] + b[j]``.
 
     ``w`` is stored output-major ``(out, in)``; the product runs on BLAS.
+    When ``out`` is given, ``y`` is written into it, with the same
+    arithmetic.
     """
     w, b, x = as_f64(w), as_f64(b), as_f64(x)
     _check_linear_shapes(w, b, x)
-    return x @ w.T + b
+    if out is None:
+        return x @ w.T + b
+    np.matmul(x, w.T, out=out)
+    out += b
+    return out
 
 
 def linear_backward(g, x, w, dw, db, dx=None) -> None:
@@ -180,14 +186,17 @@ def linear_backward(g, x, w, dw, db, dx=None) -> None:
         np.matmul(g, w, out=dx)
 
 
-def relu(x):
-    """Elementwise ``max(x, 0)``."""
-    return kernels.relu_fwd(as_f64(x))
+def relu(x, out=None):
+    """Elementwise ``max(x, 0)``, into ``out`` when given (it may be ``x``)."""
+    return kernels.relu_fwd(as_f64(x), out=out)
 
 
-def sigmoid(x):
-    """Elementwise logistic function, clamped inside the open interval (0, 1)."""
-    return kernels.sigmoid_fwd(as_f64(x))
+def sigmoid(x, out=None):
+    """Elementwise logistic function, clamped inside the open interval (0, 1).
+
+    Written into ``out`` when given; ``out`` may be ``x``.
+    """
+    return kernels.sigmoid_fwd(as_f64(x), out=out)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -202,12 +211,12 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return kernels.softmax_rows(x)
 
 
-def concat_columns(a, b):
-    """Concatenate two batches along columns (axis 1)."""
+def concat_columns(a, b, out=None):
+    """Concatenate two batches along columns (axis 1), into ``out`` when given."""
     a, b = as_f64(a), as_f64(b)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"batch sizes differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
+    return np.concatenate([a, b], axis=1, out=out)
 
 
 def clip(x, lo: float, hi: float):
@@ -251,9 +260,11 @@ class OptimizerState:
     """Plain SGD or bias-corrected Adam over a ParamTape.
 
     Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; its two
-    moments are flat vectors matching the tape's flat buffers, and its two
-    scratch blocks are the rows of ``scratch``; all three are allocated on
-    the first step and reused after it. The step counter is shared.
+    moments are flat vectors matching the tape's flat buffers. Both kinds
+    update in place over blocks whose temporaries are the rows of
+    ``scratch`` (two for Adam, one for SGD). Moments and scratch are
+    allocated on the first step and reused after it. The step counter is
+    shared.
     """
 
     BETA1 = 0.9
@@ -286,16 +297,19 @@ def optimizer_step(tape: ParamTape, state: OptimizerState) -> None:
     tape.check_finite("grads")
     state.step += 1
     p, g = tape.flat_params, tape.flat_grads
+    # Adam's blocked pass takes two scratch rows, SGD's one.
+    shape = (2 if state.kind == "adam" else 1, min(p.size, kernels.BLOCK))
+    if state.scratch is None or state.scratch.shape != shape:
+        state.scratch = np.empty(shape)
     if state.kind == "adam":
         if state.m is None or state.m.shape != p.shape:
             state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-            state.scratch = np.empty((2, min(p.size, kernels.ADAM_BLOCK)))
         kernels.adam_step(
             p, g, state.m, state.v, state.step, state.lr,
             OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, state.scratch,
         )
     else:
-        kernels.sgd_step(p, g, state.lr)
+        kernels.sgd_step(p, g, state.lr, state.scratch)
     tape.check_finite("params")
 
 

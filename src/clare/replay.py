@@ -4,6 +4,10 @@ After each increment the decoder is snapshotted. Before the next one, the
 snapshot turns latent prior draws plus one-hot class codes into synthetic
 images of every class learned so far, sized to match the incoming real
 data, so retraining sees a balanced mix and old classes survive.
+
+Generation allocates the result once and decodes each chunk of draws
+straight into its rows, through one chunk's worth of reused activation
+buffers.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import model as model_mod
-from .model import ClareModel, decoder_forward, one_hot
+from .model import ClareModel, DecodeBuffers, decoder_forward
 
 _DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
 
@@ -41,8 +45,19 @@ class DecoderSnapshot:
     def output_dim(self) -> int:
         return self.params["dec_w3"].shape[0]
 
-    def decode(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return decoder_forward(self.params, z, c)
+    def decode(
+        self,
+        z: np.ndarray,
+        c: np.ndarray,
+        out: np.ndarray | None = None,
+        buffers: DecodeBuffers | None = None,
+    ) -> np.ndarray:
+        """Pixel probabilities for latent rows ``z`` under one-hot codes ``c``.
+
+        ``out`` and ``buffers`` are optional destinations for the result and
+        the activations, as in ``decoder_forward``.
+        """
+        return decoder_forward(self.params, z, c, out, buffers)
 
 
 @dataclass
@@ -94,11 +109,12 @@ def generate_replay(
     Each class consumes its own generator stream keyed on ``(seed, class)``,
     so the samples produced for a class do not depend on which other classes
     were requested or on the mapping's iteration order. Classes are
-    assembled in sorted order.
+    assembled in sorted order. The whole request is checked before anything
+    is allocated; each chunk of at most ``_GENERATE_CHUNK`` draws is then
+    decoded into its rows of the one result array.
     """
-    parts_x: list[np.ndarray] = []
-    parts_y: list[np.ndarray] = []
-    for cls in sorted(per_class_counts):
+    classes = sorted(per_class_counts)
+    for cls in classes:
         count = per_class_counts[cls]
         if not 0 <= cls < snapshot.class_no:
             raise ValueError(
@@ -106,21 +122,22 @@ def generate_replay(
             )
         if count < 0:
             raise ValueError(f"count for class {cls} must be >= 0, got {count}")
+    counts = [per_class_counts[cls] for cls in classes]
+    images = np.empty((sum(counts), snapshot.output_dim))
+    labels = np.repeat(np.array(classes, dtype=np.int64), counts)
+    rows = min(_GENERATE_CHUNK, max(counts, default=0))
+    buffers = DecodeBuffers(snapshot.params, snapshot.d_z, rows)
+    row = 0
+    for cls, count in zip(classes, counts):
         if count == 0:
             continue
+        buffers.condition_on(cls)
         rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
         for start in range(0, count, _GENERATE_CHUNK):
             n = min(_GENERATE_CHUNK, count - start)
-            z = rng.standard_normal((n, snapshot.d_z))
-            c = one_hot(np.full(n, cls, dtype=np.int64), snapshot.class_no)
-            parts_x.append(snapshot.decode(z, c))
-            parts_y.append(np.full(n, cls, dtype=np.int64))
-    if parts_x:
-        images = np.concatenate(parts_x, axis=0)
-        labels = np.concatenate(parts_y, axis=0)
-    else:
-        images = np.zeros((0, snapshot.output_dim))
-        labels = np.zeros(0, dtype=np.int64)
+            z = rng.standard_normal(out=buffers.z[:n])
+            snapshot.decode(z, buffers.c[:n], out=images[row : row + n], buffers=buffers)
+            row += n
     return ReplayBuffer(
         images=images,
         labels=labels,

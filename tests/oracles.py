@@ -99,6 +99,21 @@ def bce_logits_oracle(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     return float(per_elem.sum() / n), (s - targets) / n
 
 
+def sigmoid_oracle(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Logistic function branch by branch, clamped to ``[eps, 1 - eps]``.
+
+    ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    elsewhere, each branch taken by boolean indexing. A NaN takes the
+    second branch and stays NaN.
+    """
+    s = np.empty_like(x)
+    pos = x >= 0.0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return np.clip(s, eps, 1.0 - eps)
+
+
 def cross_entropy_oracle(probs: np.ndarray, labels: np.ndarray) -> float:
     """Direct mean of -log p[true class]."""
     total = 0.0

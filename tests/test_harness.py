@@ -303,6 +303,14 @@ class TestCli:
         with pytest.raises(UsageError, match=r":4: duplicate key 'epochs' \(first set on line 1\)"):
             read_config_file(str(cfg))
 
+    def test_unknown_config_key_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("dataset = toy\n\n# comment\nepochz = 3\n")
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:4: unknown config key 'epochz'"
+        )
+
     def test_dump_replay_writes_idx_pairs(self, tmp_path, capsys):
         dump = tmp_path / "buffers"
         code = run_cli(TOY_ARGS + ["--dump-replay", str(dump)])

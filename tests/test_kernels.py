@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clare import kernels
-from oracles import bce_logits_oracle
+from oracles import bce_logits_oracle, sigmoid_oracle
 
 needs_numba = pytest.mark.skipif(
     kernels.NUMBA_IMPLS is None, reason="numba is not importable"
@@ -180,3 +180,25 @@ class TestNumpyAgainstOracles:
         want_loss, want_grad = bce_logits_oracle(logits, targets)
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_sigmoid_fwd_is_bit_identical_to_the_branchwise_formula(self, in_place):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((1024, 784)) * 8.0
+        specials = [800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.nan]
+        x[0, : len(specials)] = specials
+        x[-1, -len(specials) :] = specials
+        want = sigmoid_oracle(x)
+        sigmoid = kernels.NUMPY_IMPLS["sigmoid_fwd"]
+        if in_place:
+            y = x.copy()
+            assert sigmoid(y, out=y) is y
+        else:
+            before = x.copy()
+            y = sigmoid(x)
+            assert np.array_equal(x, before, equal_nan=True)
+        assert np.array_equal(y, want, equal_nan=True)
+        for row, col in ((0, 6), (-1, -1)):
+            assert np.isnan(y[row, col])
+        assert y[0, 0] == 1.0 - kernels.UNIT_EPS and y[0, 1] == kernels.UNIT_EPS
+        assert y[0, 4] == y[0, 5] == 0.5

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,9 +307,9 @@ class TestTapeContracts:
 
 # Shapes whose flat length spans several Adam blocks and ends in a ragged tail.
 FLAT_SHAPES = [
-    ("w1", (kernels.ADAM_BLOCK // 64 + 3, 97)),
-    ("b1", (kernels.ADAM_BLOCK + 5,)),
-    ("w2", (7, kernels.ADAM_BLOCK // 4 + 1)),
+    ("w1", (kernels.BLOCK // 64 + 3, 97)),
+    ("b1", (kernels.BLOCK + 5,)),
+    ("w2", (7, kernels.BLOCK // 4 + 1)),
     ("b2", (3,)),
 ]
 
@@ -389,6 +391,33 @@ class TestFlatStore:
         moments = [np.concatenate([want[n][k].ravel() for n, _ in FLAT_SHAPES]) for k in (1, 2)]
         assert np.array_equal(state.m, moments[0])
         assert np.array_equal(state.v, moments[1])
+
+    def test_flat_sgd_is_bit_equal_to_the_textbook_update(self):
+        rng = np.random.default_rng(7)
+        tape = _flat_tape(7)
+        state = nk.OptimizerState("sgd", 0.03)
+        for _ in range(2):
+            tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size)
+            tape.populated = True
+            want = tape.flat_params - 0.03 * tape.flat_grads
+            nk.optimizer_step(tape, state)
+            assert np.array_equal(tape.flat_params, want)
+        assert state.scratch.shape == (1, kernels.BLOCK)
+
+    def test_sgd_kernel_makes_no_full_size_temporary(self):
+        rng = np.random.default_rng(8)
+        n = 3 * kernels.BLOCK + 77
+        p, g = rng.standard_normal(n), rng.standard_normal(n)
+        want = p - 0.5 * g
+        scratch = np.empty((1, kernels.BLOCK))
+        tracemalloc.start()
+        try:
+            kernels.NUMPY_IMPLS["sgd_step"](p, g, 0.5, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p, want)
+        assert peak < p.nbytes // 16, f"peak {peak} bytes"
 
     def test_one_finite_check_per_buffer(self, monkeypatch):
         tape = _flat_tape(4)

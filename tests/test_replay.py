@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from clare.model import ClareModel, one_hot
+from clare import replay
+from clare.model import ClareModel, DecodeBuffers, decoder_forward, one_hot
 from clare.replay import (
+    DecoderSnapshot,
     balance_counts,
     generate_replay,
     load_snapshot,
@@ -176,6 +179,99 @@ class TestGenerateReplay:
         buf = generate_replay(snap, counts, seed=seed)
         assert Counter(buf.labels.tolist()) == counts
         assert len(buf) == sum(counts.values())
+
+
+CHUNK = replay._GENERATE_CHUNK
+
+
+def chunk_and_concatenate(snapshot, counts, seed):
+    """Replay as one allocating decoder pass per chunk, then concatenated."""
+    parts_x, parts_y = [np.zeros((0, snapshot.output_dim))], [np.zeros(0, dtype=np.int64)]
+    for cls in sorted(counts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
+        for start in range(0, counts[cls], CHUNK):
+            n = min(CHUNK, counts[cls] - start)
+            z = rng.standard_normal((n, snapshot.d_z))
+            c = one_hot(np.full(n, cls), snapshot.class_no)
+            parts_x.append(decoder_forward(snapshot.params, z, c))
+            parts_y.append(np.full(n, cls, dtype=np.int64))
+    return np.concatenate(parts_x), np.concatenate(parts_y)
+
+
+def wide_snapshot(class_no=5) -> DecoderSnapshot:
+    model = ClareModel(
+        class_no=class_no, d_z=8, input_dim=256, enc_hidden=(64, 32), dec_hidden=(32, 128),
+        rng=np.random.default_rng(21),
+    )
+    return take_snapshot(model, increment=1)
+
+
+class TestPreallocatedGeneration:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {0: 1},
+            {1: CHUNK - 1},
+            {2: CHUNK},
+            {3: CHUNK + 1},
+            {0: CHUNK + 1, 1: 0, 2: 7, 4: 2 * CHUNK},
+        ],
+    )
+    def test_bit_identical_to_chunk_and_concatenate(self, counts):
+        snap = wide_snapshot()
+        buf = generate_replay(snap, counts, seed=17)
+        images, labels = chunk_and_concatenate(snap, counts, seed=17)
+        assert buf.images.shape == images.shape
+        assert np.array_equal(buf.images, images)
+        assert np.array_equal(buf.labels, labels)
+        assert buf.labels.dtype == np.int64
+
+    def test_decode_into_buffers_matches_the_allocating_decode(self):
+        snap = wide_snapshot()
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal((9, snap.d_z))
+        c = one_hot(rng.integers(0, snap.class_no, 9), snap.class_no)
+        want = snap.decode(z, c)
+        out = np.empty((9, snap.output_dim))
+        assert snap.decode(z, c, out=out) is out
+        assert np.array_equal(out, want)
+        buffers = DecodeBuffers(snap.params, snap.d_z, rows=12)
+        out = np.empty((9, snap.output_dim))
+        assert snap.decode(z, c, out=out, buffers=buffers) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(snap.decode(z, c, buffers=buffers), want)
+        with pytest.raises(ValueError):
+            snap.decode(z[:, :1], c, out=out, buffers=buffers)  # would broadcast
+        with pytest.raises(ValueError):
+            snap.decode(np.vstack([z, z]), np.vstack([c, c]), buffers=buffers)  # 18 > 12 rows
+
+    @pytest.mark.parametrize("counts", [{0: 10**12, 3: 5}, {0: 10**12, 1: -1}])
+    def test_bad_request_rejected_before_anything_is_allocated(self, counts, monkeypatch):
+        snap = take_snapshot(small_model(16), increment=0)
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before the request was checked")
+
+        monkeypatch.setattr(DecoderSnapshot, "decode", no_decoding)
+        with pytest.raises(ValueError):
+            generate_replay(snap, counts, seed=0)
+
+    def test_peak_memory_is_the_output_plus_one_chunk_of_buffers(self):
+        snap = wide_snapshot(class_no=3)
+        counts = {0: 2500, 1: 2500, 2: 2500}
+        output_bytes = 7500 * (snap.output_dim * 8 + 8)
+        chunk_bytes = CHUNK * snap.output_dim * 8
+        generate_replay(snap, {0: 3}, seed=1)  # first-call costs outside the window
+        tracemalloc.start()
+        try:
+            buf = generate_replay(snap, counts, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == 7500
+        assert peak < output_bytes + 4 * chunk_bytes, (
+            f"peak {peak / 2**20:.2f} MiB, output {output_bytes / 2**20:.2f} MiB"
+        )
 
 
 class TestMergedRatios:

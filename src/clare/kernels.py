@@ -73,24 +73,26 @@ def _np_relu_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _np_sigmoid_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # Mask-free over blocks of rows, so exp() never overflows and no
-    # full-size temporary is made: e = exp(-|x|), then where(x >= 0, 1, e)
-    # / (1 + e), per element the IEEE operations of the two branches
-    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)). ``out`` may be ``x``.
+    # full-size temporary is made: e = exp(-|x|), then max(e, x >= 0) /
+    # (1 + e), per element the IEEE operations of the two branches
+    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)). The select is arithmetic:
+    # e <= 1 where x >= 0 and e >= +0 elsewhere, and max() keeps a NaN. The
+    # 0/1 mask is written into the output block once e is taken, so ``out``
+    # may be ``x`` and ``e`` is the only scratch block.
     if out is None:
         out = np.empty_like(x)
     rows = max(1, BLOCK // max(1, math.prod(x.shape[1:])))
     e = np.empty((min(rows, x.shape[0]),) + x.shape[1:])
-    pos = np.empty(e.shape, dtype=bool)
     for start in range(0, x.shape[0], rows):
         stop = min(start + rows, x.shape[0])
         xb, ob = x[start:stop], out[start:stop]
-        eb, pb = e[: stop - start], pos[: stop - start]
-        np.greater_equal(xb, 0.0, out=pb)
-        np.exp(np.negative(np.abs(xb, out=eb), out=eb), out=eb)
-        np.add(eb, 1.0, out=ob)
-        np.copyto(eb, 1.0, where=pb)
-        np.divide(eb, ob, out=ob)
-    np.clip(out, UNIT_EPS, 1.0 - UNIT_EPS, out=out)
+        eb = e[: stop - start]
+        np.exp(np.copysign(xb, -1.0, out=eb), out=eb)
+        np.greater_equal(xb, 0.0, out=ob)
+        np.maximum(eb, ob, out=ob)
+        eb += 1.0
+        ob /= eb
+        np.clip(ob, UNIT_EPS, 1.0 - UNIT_EPS, out=ob)
     return out
 
 
@@ -125,17 +127,19 @@ def _np_bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     terms = np.maximum(logits, 0.0)
     e = np.multiply(logits, targets)
     terms -= e
-    np.exp(np.negative(np.abs(logits, out=e), out=e), out=e)
+    np.exp(np.copysign(logits, -1.0, out=e), out=e)
     terms += np.log1p(e, out=e)
     loss = float(terms.sum() / n)
-    # Unclamped sigmoid, where(l >= 0, 1, e) / (1 + e): the exact derivative.
-    np.exp(np.negative(np.abs(logits, out=e), out=e), out=e)
-    np.add(e, 1.0, out=terms)
-    np.copyto(e, 1.0, where=logits >= 0.0)
-    np.divide(e, terms, out=e)
-    e -= targets
-    e /= n
-    return loss, e
+    # Unclamped sigmoid, max(e, l >= 0) / (1 + e): the exact derivative, with
+    # the 0/1 mask written into ``terms``, which becomes the gradient.
+    np.exp(np.copysign(logits, -1.0, out=e), out=e)
+    np.greater_equal(logits, 0.0, out=terms)
+    np.maximum(e, terms, out=terms)
+    e += 1.0
+    terms /= e
+    terms -= targets
+    terms /= n
+    return loss, terms
 
 
 def _np_bce_probs(x: np.ndarray, xhat: np.ndarray) -> float:

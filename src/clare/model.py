@@ -124,21 +124,6 @@ class ClareModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def _encoder(self, get: Callable[[str], object], x, c):
-        h = nk.concat_columns(x, c)
-        h = nk.relu(nk.linear_forward(get("enc_w1"), get("enc_b1"), h))
-        h = nk.relu(nk.linear_forward(get("enc_w2"), get("enc_b2"), h))
-        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h)
-        log_var = nk.clip(
-            nk.linear_forward(get("enc_wlv"), get("enc_blv"), h),
-            LOG_VAR_MIN,
-            LOG_VAR_MAX,
-        )
-        return mu, log_var
-
-    def _class_logits(self, get: Callable[[str], object], mu):
-        return nk.linear_forward(get("cls_w"), get("cls_b"), mu)
-
     def encode(self, x: np.ndarray, c: np.ndarray) -> LatentGaussian:
         """Map inputs plus condition codes to the latent Gaussian.
 
@@ -150,7 +135,14 @@ class ClareModel:
         c = nk.as_f64(c)
         self._check_input(x)
         self._check_condition(c, x.shape[0])
-        mu, log_var = self._encoder(self.tape.param, x, c)
+        get = self.tape.param
+        h = nk.concat_columns(x, c)
+        h = nk.relu(nk.linear_forward(get("enc_w1"), get("enc_b1"), h))
+        h = nk.relu(nk.linear_forward(get("enc_w2"), get("enc_b2"), h))
+        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h)
+        log_var = nk.clip(
+            nk.linear_forward(get("enc_wlv"), get("enc_blv"), h), LOG_VAR_MIN, LOG_VAR_MAX
+        )
         return LatentGaussian(mu=mu, log_var=log_var)
 
     def decode(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -162,17 +154,32 @@ class ClareModel:
         self._check_condition(c, z.shape[0])
         return decoder_forward(self.tape.param, z, c)
 
-    def class_logits(self, x: np.ndarray) -> np.ndarray:
-        """Classifier logits from the zero-condition latent mean."""
+    def class_logits(
+        self, x: np.ndarray, buffers: "ClassifyBuffers | None" = None
+    ) -> np.ndarray:
+        """Classifier logits from the zero-condition latent mean.
+
+        A zero condition adds nothing to encoder layer 1, so the pass reads
+        only the image columns of ``enc_w1`` and skips the log-variance
+        head, as the training step does. Without ``buffers`` each activation
+        is a new array; with them, they are written into its first
+        ``len(x)`` rows. The arithmetic is the same.
+        """
         x = nk.as_f64(x)
         self._check_input(x)
-        zeros = np.zeros((x.shape[0], self.class_no))
-        mu, _ = self._encoder(self.tape.param, x, zeros)
-        return self._class_logits(self.tape.param, mu)
+        get = self.tape.param
+        h1 = h2 = mu = logits = None
+        if buffers is not None:
+            n = len(x)
+            h1, h2, mu, logits = buffers.h1[:n], buffers.h2[:n], buffers.mu[:n], buffers.logits[:n]
+        h = nk.linear_forward(get("enc_w1")[:, : self.input_dim], get("enc_b1"), x, out=h1)
+        h = nk.linear_forward(get("enc_w2"), get("enc_b2"), nk.relu(h, out=h), out=h2)
+        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), nk.relu(h, out=h), out=mu)
+        return nk.linear_forward(get("cls_w"), get("cls_b"), mu, out=logits)
 
-    def classify(self, x: np.ndarray) -> np.ndarray:
+    def classify(self, x: np.ndarray, buffers: "ClassifyBuffers | None" = None) -> np.ndarray:
         """Class probabilities; rows sum to 1 and stay strictly positive."""
-        return nk.softmax_rows(self.class_logits(x))
+        return nk.softmax_rows(self.class_logits(x, buffers))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -197,6 +204,17 @@ class ClareModel:
         other.dec_hidden = self.dec_hidden
         other.tape = self.tape.copy()
         return other
+
+
+class ClassifyBuffers:
+    """Classifier-pass activations for up to ``rows`` rows of ``model``."""
+
+    def __init__(self, model: ClareModel, rows: int):
+        h1, h2 = model.enc_hidden
+        self.h1 = np.empty((rows, h1))
+        self.h2 = np.empty((rows, h2))
+        self.mu = np.empty((rows, model.d_z))
+        self.logits = np.empty((rows, model.class_no))
 
 
 class DecodeBuffers:

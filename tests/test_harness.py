@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from clare.config import ExperimentConfig, config_from_items
 from clare.dataio import parse_idx
 from clare.harness import UsageError, read_config_file, run_cli
+from clare import metrics
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
 from clare.protocol import MetricsRecord
@@ -61,6 +62,23 @@ class TestEvaluate:
         overall, _ = evaluate(model, images, labels)
         preds = model.classify(images).argmax(axis=1)
         assert overall == pytest.approx(100.0 * np.mean(preds == labels), abs=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 7, 256, 6000])
+    def test_result_does_not_depend_on_the_batch_size(self, batch, monkeypatch):
+        model = ClareModel(class_no=3, rng=np.random.default_rng(5), **MINI)
+        rng = np.random.default_rng(6)
+        images = rng.uniform(size=(600, 6))
+        labels = rng.integers(0, 3, size=600)
+        want = evaluate(model, images, labels)
+        monkeypatch.setattr(metrics, "_EVAL_BATCH", batch)
+        assert evaluate(model, images, labels) == want
+
+    @pytest.mark.parametrize("n_images, n_labels", [(5, 10), (3000, 2100)])
+    def test_length_mismatch_rejected(self, n_images, n_labels):
+        model = ClareModel(class_no=2, rng=None, **MINI)
+        labels = np.zeros(n_labels, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{n_images} images, {n_labels} labels"):
+            evaluate(model, np.zeros((n_images, 6)), labels)
 
     def test_empty_set_rejected(self):
         model = ClareModel(class_no=2, rng=None, **MINI)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,18 +175,45 @@ class TestNumpyAgainstOracles:
     def test_bce_logits_is_bit_identical_to_the_branchwise_formula(self):
         rng = np.random.default_rng(9)
         logits = rng.standard_normal((128, 784)) * 6.0
-        logits[0, :6] = [800.0, -800.0, 0.0, -0.0, 40.0, -40.0]
+        logits[0, :8] = [800.0, -800.0, 0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324]
         targets = rng.uniform(size=(128, 784))
-        loss, grad = kernels.NUMPY_IMPLS["bce_logits"](logits, targets)
+        bce = kernels.NUMPY_IMPLS["bce_logits"]
+        loss, grad = bce(logits, targets)
         want_loss, want_grad = bce_logits_oracle(logits, targets)
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
+        # A non-finite logit makes the loss NaN; the gradient stays per element.
+        logits[1, :3] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):
+            loss, grad = bce(logits, targets)
+            want_loss, want_grad = bce_logits_oracle(logits, targets)
+        assert np.isnan(loss) and np.isnan(want_loss)
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+        assert grad[1, 0] == (1.0 - targets[1, 0]) / 128
+        assert grad[1, 1] == -targets[1, 1] / 128
+        assert np.isnan(grad[1, 2])
+
+    def test_bce_logits_makes_no_temporary_beyond_its_two_buffers(self):
+        rng = np.random.default_rng(11)
+        logits = rng.standard_normal((512, 784)) * 6.0
+        targets = rng.uniform(size=logits.shape)
+        bce = kernels.NUMPY_IMPLS["bce_logits"]
+        bce(logits, targets)
+        tracemalloc.start()
+        try:
+            bce(logits, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A boolean mask of the logits would add logits.nbytes / 8.
+        assert peak < 2 * logits.nbytes + logits.nbytes // 32
 
     @pytest.mark.parametrize("in_place", [False, True])
     def test_sigmoid_fwd_is_bit_identical_to_the_branchwise_formula(self, in_place):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((1024, 784)) * 8.0
-        specials = [800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.nan]
+        specials = [800.0, -800.0, 40.0, -40.0, 0.0, -0.0, np.nan,
+                    np.inf, -np.inf, 5e-324, -5e-324]
         x[0, : len(specials)] = specials
         x[-1, -len(specials) :] = specials
         want = sigmoid_oracle(x)
@@ -198,7 +226,20 @@ class TestNumpyAgainstOracles:
             y = sigmoid(x)
             assert np.array_equal(x, before, equal_nan=True)
         assert np.array_equal(y, want, equal_nan=True)
-        for row, col in ((0, 6), (-1, -1)):
+        for row, col in ((0, 6), (-1, 6 - len(specials))):
             assert np.isnan(y[row, col])
-        assert y[0, 0] == 1.0 - kernels.UNIT_EPS and y[0, 1] == kernels.UNIT_EPS
-        assert y[0, 4] == y[0, 5] == 0.5
+        assert y[0, 0] == y[0, 7] == 1.0 - kernels.UNIT_EPS
+        assert y[0, 1] == y[0, 8] == kernels.UNIT_EPS
+        assert y[0, 4] == y[0, 5] == y[0, 9] == y[0, 10] == 0.5
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_sigmoid_fwd_rows_wider_than_a_block(self, in_place):
+        # Each block is then one row.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, kernels.BLOCK + 5)) * 8.0
+        x[:, 0] = [np.inf, -0.0, np.nan]
+        x[:, -1] = [-np.inf, 5e-324, -800.0]
+        want = sigmoid_oracle(x)
+        sigmoid = kernels.NUMPY_IMPLS["sigmoid_fwd"]
+        y = sigmoid(x, out=x) if in_place else sigmoid(x)
+        assert np.array_equal(y, want, equal_nan=True)

@@ -15,6 +15,7 @@ import clare.numkit as nk
 from clare.dataio import toy_centers
 from clare.model import (
     ClareModel,
+    ClassifyBuffers,
     LatentGaussian,
     classification_loss,
     expand_classes,
@@ -145,6 +146,36 @@ class TestForward:
             m.decode(np.zeros((2, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             m.classify(np.zeros((2, 7)))
+
+    def test_class_logits_read_no_condition_column_and_no_log_variance_head(self):
+        m = mini_model(4)
+        x = np.random.default_rng(5).uniform(size=(9, 6))
+        want = m.class_logits(x)
+        m.tape.param("enc_w1")[:, 6:] = np.nan
+        m.tape.param("enc_wlv")[...] = np.nan
+        m.tape.param("enc_blv")[...] = np.nan
+        got = m.class_logits(x)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+        buffers = ClassifyBuffers(m, 12)
+        assert np.array_equal(m.class_logits(x, buffers), want)
+        assert np.array_equal(m.classify(x, buffers), m.classify(x))
+
+    def test_class_logits_buffers_refuse_more_rows_than_they_hold(self):
+        m = mini_model()
+        with pytest.raises(ValueError):
+            m.class_logits(np.zeros((5, 6)), ClassifyBuffers(m, 4))
+
+    def test_class_logits_match_the_concatenated_encoder_at_digit_shape(self):
+        m = ClareModel(class_no=10, rng=np.random.default_rng(6))
+        x = np.random.default_rng(7).uniform(size=(300, 784))
+        mu = m.encode(x, np.zeros((300, 10))).mu
+        want = nk.linear_forward(m.tape.param("cls_w"), m.tape.param("cls_b"), mu)
+        got = m.class_logits(x)
+        # BLAS may block the 784-wide product differently from the 794-wide
+        # one, so the two agree to rounding, not bit for bit.
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
     def test_clone_is_isolated(self):
         m = mini_model()

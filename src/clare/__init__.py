@@ -9,7 +9,6 @@ storing past data.
 
 from .config import ExperimentConfig
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, parse_idx, write_idx
-from .kernels import backend_name
 from .metrics import average_over_tasks, evaluate
 from .model import (
     ClareModel,
@@ -56,7 +55,6 @@ __all__ = [
     "ResultsReport",
     "Schedule",
     "average_over_tasks",
-    "backend_name",
     "balance_counts",
     "build_schedule",
     "classification_loss",

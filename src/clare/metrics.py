@@ -32,6 +32,12 @@ def evaluate(
             f"images and labels differ in length: {len(images)} images, "
             f"{labels.shape[0]} labels"
         )
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo < 0 or hi >= model.class_no:
+        raise ValueError(
+            f"labels must be dense ids 0..{model.class_no - 1} of the model's "
+            f"{model.class_no} classes, got labels in {lo}..{hi}"
+        )
     preds = np.empty_like(labels)
     buffers = ClassifyBuffers(model, min(_EVAL_BATCH, labels.shape[0]))
     for start in range(0, labels.shape[0], _EVAL_BATCH):

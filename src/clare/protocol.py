@@ -21,7 +21,6 @@ import numpy as np
 from . import numkit as nk
 from .config import ExperimentConfig
 from .dataio import LabeledDataset, subset_by_classes
-from .kernels import warmup
 from .metrics import evaluate
 from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
 from .replay import DecoderSnapshot, ReplayBuffer, balance_counts, generate_replay, take_snapshot
@@ -103,12 +102,15 @@ def train_model(
     epoch and step (both counted from 0) where training diverged and the
     last loss components computed before it.
     """
-    warmup()
     images = nk.as_f64(images)
     labels = np.asarray(labels, dtype=np.int64)
     n = images.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    if labels.shape[0] != n:
+        raise ValueError(
+            f"images and labels differ in length: {n} images, {labels.shape[0]} labels"
+        )
     state = nk.OptimizerState(config.optimizer, config.lr)
     workspaces: dict[int, StepWorkspace] = {}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}

@@ -152,11 +152,32 @@ def save_snapshot(snapshot: DecoderSnapshot, path: str) -> None:
 
 
 def load_snapshot(path: str, increment: int = -1, trained: bool = True) -> DecoderSnapshot:
-    """Read decoder tensors back; provenance is runtime metadata, not stored."""
+    """Read decoder tensors back; provenance is runtime metadata, not stored.
+
+    Each tensor's shape is checked against the header's ``class_no`` and
+    ``d_z`` and against its neighbouring layers; a mismatch raises
+    ``ValueError`` naming the tensor and both shapes.
+    """
     class_no, d_z, params = model_mod.read_container(path)
     for name in _DECODER_PARAMS:
         if name not in params:
             raise ValueError(f"snapshot file is missing tensor {name!r}")
+    # Layer 1 reads [z, one-hot]; each later layer reads the one before it.
+    width, source = d_z + class_no, f"d_z {d_z} + class_no {class_no}"
+    for w_name, b_name in zip(_DECODER_PARAMS[::2], _DECODER_PARAMS[1::2]):
+        w, b = params[w_name], params[b_name]
+        rows = w.shape[0] if w.ndim else 0
+        if w.shape != (rows, width):
+            raise ValueError(
+                f"snapshot tensor {w_name!r} has shape {w.shape}, "
+                f"expected {(rows, width)} from {source}"
+            )
+        if b.shape != (rows,):
+            raise ValueError(
+                f"snapshot tensor {b_name!r} has shape {b.shape}, "
+                f"expected {(rows,)} from the rows of {w_name!r}"
+            )
+        width, source = rows, f"the rows of {w_name!r}"
     return DecoderSnapshot(
         params={name: params[name] for name in _DECODER_PARAMS},
         class_no=class_no,

@@ -1,21 +1,15 @@
-"""Shared fixtures: kernel warmup, a toy-trained model, acceptance summary."""
+"""Shared fixtures: toy config and data, a toy-trained model, one-batch steps,
+and the acceptance summary."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from clare import kernels
 from clare.config import ExperimentConfig
 from clare.dataio import make_toy_dataset
 from clare.model import ClareModel, StepWorkspace, forward_backward
 from clare.protocol import IncrementState, _phase_seed, run_increment
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the JIT kernels once so timed tests measure math, not the JIT."""
-    kernels.warmup()
 
 
 TOY_CLASSES = 3

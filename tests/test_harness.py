@@ -80,6 +80,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"{n_images} images, {n_labels} labels"):
             evaluate(model, np.zeros((n_images, 6)), labels)
 
+    @pytest.mark.parametrize("labels, span", [([0, 1, 7, -1], "-1..7"), ([0, 3], "0..3")])
+    def test_labels_outside_the_dense_ids_rejected(self, labels, span):
+        model = ClareModel(class_no=3, rng=None, **MINI)
+        with pytest.raises(ValueError, match=f"0..2 of the model's 3 classes, got labels in {span}"):
+            evaluate(model, np.zeros((len(labels), 6)), np.array(labels))
+
     def test_empty_set_rejected(self):
         model = ClareModel(class_no=2, rng=None, **MINI)
         with pytest.raises(ValueError, match="empty"):

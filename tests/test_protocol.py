@@ -265,6 +265,21 @@ class TestStepWorkspace:
             assert ids == {name: id(value) for name, value in vars(ws).items()}
         assert np.array_equal(got.tape.flat_params, want.tape.flat_params)
 
+    @pytest.mark.parametrize("n_images, n_labels", [(10, 5), (5, 10)])
+    def test_length_mismatch_rejected_before_drawing(self, n_images, n_labels):
+        # gather() clips row indices, so extra images would silently reuse
+        # the last label.
+        model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
+                           dec_hidden=(10, 12), rng=np.random.default_rng(0))
+        before = model.tape.flat_params.copy()
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{n_images} images, {n_labels} labels"):
+            train_model(model, np.zeros((n_images, 4)), np.zeros(n_labels, dtype=np.int64),
+                        FAST, rng)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(model.tape.flat_params, before)
+
 
 class TestDeterminism:
     def test_same_seed_reproduces_every_metric(self, data):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clare import replay
-from clare.model import ClareModel, DecodeBuffers, decoder_forward, one_hot
+from clare.model import ClareModel, DecodeBuffers, decoder_forward, one_hot, write_container
 from clare.replay import (
     DecoderSnapshot,
     balance_counts,
@@ -65,12 +65,38 @@ class TestSnapshot:
         assert back.d_z == snap.d_z
 
     def test_loading_a_full_model_checkpoint_fails_loudly(self, tmp_path):
-        from clare.model import write_container
-
         path = str(tmp_path / "notadecoder.clre")
         write_container(path, 3, 2, {"enc_w1": np.zeros((2, 2))})
         with pytest.raises(ValueError, match="dec_w1"):
             load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "class_no, d_z, want",
+        [(5, 4, r"\(8, 7\), expected \(8, 9\)"), (3, 2, r"\(8, 7\), expected \(8, 5\)")],
+    )
+    def test_header_that_disagrees_with_dec_w1_is_rejected(self, tmp_path, class_no, d_z, want):
+        # dec_w1 is (8, 7): d_z 4 plus 3 classes.
+        model = ClareModel(class_no=3, d_z=4, input_dim=6, enc_hidden=(8, 7),
+                           dec_hidden=(8, 7), rng=np.random.default_rng(0))
+        path = str(tmp_path / "decoder.clre")
+        write_container(path, class_no, d_z, take_snapshot(model, increment=0).params)
+        with pytest.raises(ValueError, match=f"'dec_w1' has shape {want}"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("dec_b1", (6,)), ("dec_w2", (8, 6)), ("dec_b2", (8, 1)),
+         ("dec_w3", (6, 7)), ("dec_b3", (5,))],
+    )
+    def test_layers_that_do_not_chain_are_rejected(self, tmp_path, name, shape):
+        params = dict(take_snapshot(small_model(), increment=0).params)
+        before = params[name].shape
+        params[name] = np.zeros(shape)
+        path = str(tmp_path / "decoder.clre")
+        write_container(path, 3, 2, params)
+        with pytest.raises(ValueError, match=rf"{name!r} has shape \({shape[0]},") as err:
+            load_snapshot(path)
+        assert str(before) in str(err.value)
 
 
 class TestBalanceCounts:

@@ -12,14 +12,9 @@ from .dataio import LabeledDataset, load_mnist, make_toy_dataset, parse_idx, wri
 from .metrics import average_over_tasks, evaluate
 from .model import (
     ClareModel,
-    LatentGaussian,
-    classification_loss,
     expand_classes,
-    kl_divergence,
     load_model,
     one_hot,
-    reconstruction_loss,
-    reparameterize,
     save_model,
 )
 from .protocol import (
@@ -49,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "IncrementState",
     "LabeledDataset",
-    "LatentGaussian",
     "MetricsRecord",
     "ReplayBuffer",
     "ResultsReport",
@@ -57,19 +51,15 @@ __all__ = [
     "average_over_tasks",
     "balance_counts",
     "build_schedule",
-    "classification_loss",
     "evaluate",
     "expand_classes",
     "generate_replay",
-    "kl_divergence",
     "load_mnist",
     "load_model",
     "make_toy_dataset",
     "one_hot",
     "parse_idx",
     "read_report",
-    "reconstruction_loss",
-    "reparameterize",
     "run_experiment",
     "run_finetune_baseline",
     "run_increment",

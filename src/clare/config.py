@@ -7,6 +7,7 @@ parsed config round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -55,20 +56,22 @@ class ExperimentConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.d_z < 1:
             raise ValueError(f"latent dim must be >= 1, got {self.d_z}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.start not in ("scratch", "warm"):
             raise ValueError(f"start must be 'scratch' or 'warm', got {self.start!r}")
         if self.toy_classes < 1 or self.toy_per_class < 1 or self.toy_dim < 1:
             raise ValueError("toy dataset parameters must be positive")
-        if self.toy_spread < 0:
-            raise ValueError(f"toy spread must be non-negative, got {self.toy_spread}")
+        if not (math.isfinite(self.toy_spread) and self.toy_spread >= 0):
+            raise ValueError(f"toy_spread must be finite and >= 0, got {self.toy_spread}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved(self) -> "ExperimentConfig":
         """Copy with dataset-dependent defaults filled in."""

@@ -200,11 +200,7 @@ def make_toy_dataset(
     rng = np.random.default_rng(seed)
     images = np.empty((n_classes * n_per_class, dim))
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)
-    for cls in range(n_classes):
-        center = np.full(dim, 0.2)
-        for axis in range(dim):
-            if (cls >> axis) & 1:
-                center[axis] = 0.8
+    for cls, center in enumerate(toy_centers(n_classes, dim)):
         rows = slice(cls * n_per_class, (cls + 1) * n_per_class)
         images[rows] = center + spread * rng.standard_normal((n_per_class, dim))
         labels[rows] = cls
@@ -220,12 +216,3 @@ def toy_centers(n_classes: int, dim: int) -> np.ndarray:
             if (cls >> axis) & 1:
                 centers[cls, axis] = 0.8
     return centers
-
-
-def concat_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
-    if a.dim != b.dim:
-        raise ValueError(f"feature widths differ: {a.dim} vs {b.dim}")
-    return LabeledDataset(
-        images=np.concatenate([a.images, b.images], axis=0),
-        labels=np.concatenate([a.labels, b.labels], axis=0),
-    )

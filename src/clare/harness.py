@@ -153,6 +153,10 @@ def _parse_seeds(args: argparse.Namespace, config: ExperimentConfig) -> list[int
             raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
         if not seeds:
             raise UsageError("--seeds names no seeds")
+        if min(seeds) < 0:
+            raise UsageError(f"--seeds must be >= 0, got {min(seeds)}")
+        if len(set(seeds)) != len(seeds):
+            raise UsageError(f"--seeds repeats a seed: {args.seeds!r}")
         return seeds
     return [config.seed]
 

@@ -104,12 +104,6 @@ def bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarr
     return loss, terms
 
 
-def bce_probs(x: np.ndarray, xhat: np.ndarray) -> float:
-    n = x.shape[0]
-    per_elem = -(x * np.log(xhat) + (1.0 - x) * np.log1p(-xhat))
-    return float(per_elem.sum() / n)
-
-
 def kl_terms(mu: np.ndarray, log_var: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     n = mu.shape[0]
     # expm1 keeps exp(lv) - 1 - lv exact near zero; with plain exp() the

@@ -5,6 +5,10 @@ reading the latent mean, and a conditional decoder reconstructing the input
 from a sampled latent and a one-hot class code. Both train against a single
 scalar objective: classification cross-entropy plus reconstruction
 cross-entropy plus a weighted KL pull toward the standard normal prior.
+``forward_backward`` is the only implementation of that objective: one
+hand-written pass over the ``kernels`` losses that also writes every
+gradient. The model's own methods are inference only: the classifier pass
+and the decoder.
 
 Classification never sees a class code: the classifier path runs the
 encoder with an all-zeros condition, at train time and test time alike, so
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,14 +37,6 @@ CHECKPOINT_VERSION = 1
 
 # d_z beyond the trunk width adds parameters without adding information.
 MAX_LATENT_DIM = 256
-
-
-@dataclass
-class LatentGaussian:
-    """Diagonal Gaussian over the latent space: per-sample mean and log-variance."""
-
-    mu: np.ndarray
-    log_var: np.ndarray
 
 
 def one_hot(labels: np.ndarray, class_no: int) -> np.ndarray:
@@ -124,27 +119,6 @@ class ClareModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def encode(self, x: np.ndarray, c: np.ndarray) -> LatentGaussian:
-        """Map inputs plus condition codes to the latent Gaussian.
-
-        ``c`` rows are one-hot codes, or all-zeros on the classification
-        path where no condition exists. ``log_var`` comes back clamped to
-        ``[-10, 10]``.
-        """
-        x = nk.as_f64(x)
-        c = nk.as_f64(c)
-        self._check_input(x)
-        self._check_condition(c, x.shape[0])
-        get = self.tape.param
-        h = nk.concat_columns(x, c)
-        h = nk.relu(nk.linear_forward(get("enc_w1"), get("enc_b1"), h))
-        h = nk.relu(nk.linear_forward(get("enc_w2"), get("enc_b2"), h))
-        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h)
-        log_var = nk.clip(
-            nk.linear_forward(get("enc_wlv"), get("enc_blv"), h), LOG_VAR_MIN, LOG_VAR_MAX
-        )
-        return LatentGaussian(mu=mu, log_var=log_var)
-
     def decode(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Reconstruct pixel probabilities from latents and one-hot codes."""
         z = nk.as_f64(z)
@@ -194,16 +168,6 @@ class ClareModel:
             raise ValueError(
                 f"condition shape {c.shape} does not match ({batch}, {self.class_no})"
             )
-
-    def clone(self) -> "ClareModel":
-        other = ClareModel.__new__(ClareModel)
-        other.class_no = self.class_no
-        other.d_z = self.d_z
-        other.input_dim = self.input_dim
-        other.enc_hidden = self.enc_hidden
-        other.dec_hidden = self.dec_hidden
-        other.tape = self.tape.copy()
-        return other
 
 
 class ClassifyBuffers:
@@ -265,53 +229,8 @@ def decoder_forward(
 
 
 # ---------------------------------------------------------------------------
-# losses
+# training step
 # ---------------------------------------------------------------------------
-
-
-def reparameterize(latent: LatentGaussian, noise: np.ndarray) -> np.ndarray:
-    """Draw ``z = mu + exp(log_var / 2) * noise`` from an encoded Gaussian."""
-    return nk.reparameterize_draw(latent.mu, latent.log_var, noise)
-
-
-def kl_divergence(latent: LatentGaussian) -> float:
-    """Batch-mean KL from the encoded Gaussian to the standard normal prior."""
-    return float(nk.kl_to_standard_normal(latent.mu, latent.log_var))
-
-
-def reconstruction_loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Bernoulli cross-entropy between pixels and reconstructions.
-
-    Summed per sample, averaged over the batch. ``xhat`` must lie strictly
-    inside (0, 1); anything else means a reconstruction bypassed the output
-    sigmoid and is rejected rather than silently log'd into inf.
-    """
-    x = nk.as_f64(x)
-    xhat = nk.as_f64(xhat)
-    if x.shape != xhat.shape:
-        raise ValueError(f"x shape {x.shape} does not match xhat shape {xhat.shape}")
-    if xhat.size and (xhat.min() <= 0.0 or xhat.max() >= 1.0):
-        raise ValueError("reconstructions must lie strictly inside (0, 1)")
-    return float(kernels.bce_probs(x, xhat))
-
-
-def classification_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class."""
-    probabilities = nk.as_f64(probabilities)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probabilities.ndim != 2:
-        raise ValueError(f"probabilities must be 2-d, got shape {probabilities.shape}")
-    if labels.shape != (probabilities.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} does not match probabilities "
-            f"{probabilities.shape}"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= probabilities.shape[1]):
-        raise ValueError(
-            f"class index out of range: have {probabilities.shape[1]} classes"
-        )
-    picked = probabilities[np.arange(labels.shape[0]), labels]
-    return float(np.mean(-np.log(picked)))
 
 
 class StepWorkspace:
@@ -626,7 +545,10 @@ def save_model(model: ClareModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClareModel:
-    """Rebuild a model from a checkpoint; dimensions come from the tensors."""
+    """Rebuild a model from a checkpoint; dimensions come from the tensors.
+
+    A missing, unknown or misshapen tensor raises ``ValueError`` naming it.
+    """
     class_no, d_z, params = read_container(path)
     required = (
         "enc_w1", "enc_w2", "dec_w1", "dec_w2", "dec_w3",
@@ -635,6 +557,10 @@ def load_model(path: str) -> ClareModel:
     for name in required:
         if name not in params:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
+        if params[name].ndim != 2:
+            raise ValueError(
+                f"checkpoint tensor {name!r} must be 2-d, got shape {params[name].shape}"
+            )
     input_dim = params["enc_w1"].shape[1] - class_no
     enc_hidden = (params["enc_w1"].shape[0], params["enc_w2"].shape[0])
     dec_hidden = (params["dec_w1"].shape[0], params["dec_w2"].shape[0])
@@ -646,7 +572,11 @@ def load_model(path: str) -> ClareModel:
         dec_hidden=dec_hidden,
         rng=None,
     )
-    for name in model.tape.names():
+    names = model.tape.names()
+    for name in params:
+        if name not in names:
+            raise ValueError(f"checkpoint has unknown tensor {name!r}")
+    for name in names:
         if name not in params:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
         model.tape.set_param(name, params[name])

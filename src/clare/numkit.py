@@ -38,14 +38,13 @@ def as_f64(x) -> np.ndarray:
 class ParamTape:
     """Ordered named parameters with matching gradient buffers.
 
-    Names are unique; insertion order is the iteration order everywhere
-    (updates, serialization), which keeps seeded runs bit-reproducible.
+    Names are unique; the order of the ``(name, shape)`` list the tape is
+    built from is the iteration order everywhere (updates, serialization),
+    which keeps seeded runs bit-reproducible.
     The tape owns two contiguous float64 vectors, one for parameters and one
     for gradients; every named tensor is a reshaped view into them, so the
     optimizer and the finite checks each make one pass over a flat buffer.
-    Build a tape from its ``(name, shape)`` list in one allocation; ``add``
-    appends by repacking, which leaves arrays it returned earlier detached
-    from the tape.
+    Both are allocated once, zero-filled, when the tape is built.
 
     A training step assigns every gradient (nothing accumulates) and marks
     the tape populated; ``optimizer_step`` refuses to run on a tape whose
@@ -53,11 +52,7 @@ class ParamTape:
     """
 
     def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
-        self._allocate([(name, tuple(int(d) for d in shape)) for name, shape in shapes])
-        self.populated = False
-
-    def _allocate(self, shapes: list[tuple[str, tuple[int, ...]]]) -> None:
-        """Zero-filled flat buffers laid out in ``shapes`` order, with views."""
+        shapes = [(name, tuple(int(d) for d in shape)) for name, shape in shapes]
         sizes = [math.prod(shape) for _, shape in shapes]
         self.flat_params = np.zeros(sum(sizes))
         self.flat_grads = np.zeros(sum(sizes))
@@ -70,23 +65,10 @@ class ParamTape:
             self._params[name] = self.flat_params[offset : offset + size].reshape(shape)
             self._grads[name] = self.flat_grads[offset : offset + size].reshape(shape)
             offset += size
-
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        arr = as_f64(value)
-        params, grads = self.flat_params, self.flat_grads
-        self._allocate([*self.shapes(), (name, arr.shape)])
-        self.flat_params[: params.size] = params
-        self.flat_grads[: grads.size] = grads
-        self._params[name][...] = arr
-        return self._params[name]
+        self.populated = False
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(name, value.shape) for name, value in self._params.items()]
 
     def param(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -122,17 +104,6 @@ class ParamTape:
                     break
             what = f"gradient of {name!r}" if which == "grads" else f"parameter {name!r}"
             raise NonFiniteError(f"non-finite value in {what}") from None
-
-    def copy(self) -> "ParamTape":
-        other = ParamTape(self.shapes())
-        other.flat_params[...] = self.flat_params
-        return other
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +188,6 @@ def concat_columns(a, b, out=None):
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"batch sizes differ: {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=1, out=out)
-
-
-def clip(x, lo: float, hi: float):
-    """Clamp values to ``[lo, hi]``."""
-    return np.clip(as_f64(x), lo, hi)
-
-
-def reparameterize_draw(mu, log_var, noise: np.ndarray):
-    """``z = mu + exp(log_var / 2) * noise`` with externally supplied noise."""
-    mu, log_var, noise = as_f64(mu), as_f64(log_var), as_f64(noise)
-    if mu.shape != log_var.shape or mu.shape != noise.shape:
-        raise ValueError(
-            f"mu {mu.shape}, log_var {log_var.shape} and noise {noise.shape} "
-            f"must share a shape"
-        )
-    return kernels.reparam_fwd(mu, log_var, noise)
-
-
-def kl_to_standard_normal(mu, log_var):
-    """Batch-mean KL divergence from ``N(mu, exp(log_var))`` to ``N(0, I)``.
-
-    ``0.5 * sum(mu^2 + exp(log_var) - 1 - log_var)`` summed per sample,
-    averaged over the batch. Zero exactly when ``mu = log_var = 0``.
-    """
-    kl, _, _ = kernels.kl_terms(as_f64(mu), as_f64(log_var))
-    return kl
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ class Schedule:
     groups: list[list[int]]
     g: int
 
-    def all_classes(self) -> list[int]:
-        return [cls for group in self.groups for cls in group]
-
 
 def build_schedule(class_ids: list[int], g: int) -> Schedule:
     """Split ``class_ids`` (ascending) into consecutive groups of size ``g``.

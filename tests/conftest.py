@@ -48,15 +48,22 @@ def toy_trained(toy_config, toy_data):
     return state
 
 
-def step_on(
-    model: ClareModel, x: np.ndarray, labels: np.ndarray, noise: np.ndarray, beta: float = 1.0
-) -> dict[str, float]:
-    """``forward_backward`` on one given batch, in a fresh workspace."""
+def filled_workspace(
+    model: ClareModel, x: np.ndarray, labels: np.ndarray, noise: np.ndarray
+) -> StepWorkspace:
+    """A fresh ``StepWorkspace`` holding one given batch."""
     ws = StepWorkspace(model, len(labels))
     ws.x[...] = x
     ws.labels[...] = labels
     ws.noise[...] = noise
-    return forward_backward(model, ws, beta)
+    return ws
+
+
+def step_on(
+    model: ClareModel, x: np.ndarray, labels: np.ndarray, noise: np.ndarray, beta: float = 1.0
+) -> dict[str, float]:
+    """``forward_backward`` on one given batch, in a fresh workspace."""
+    return forward_backward(model, filled_workspace(model, x, labels, noise), beta)
 
 
 # -- acceptance summary -------------------------------------------------------

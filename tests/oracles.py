@@ -122,6 +122,38 @@ def cross_entropy_oracle(probs: np.ndarray, labels: np.ndarray) -> float:
     return total / len(labels)
 
 
+def objective_oracle(
+    params: dict[str, np.ndarray], x: np.ndarray, labels: np.ndarray, noise: np.ndarray
+) -> tuple[float, float, float]:
+    """Classification, reconstruction and KL terms of the joint objective.
+
+    Every first layer reads a concatenated input: the encoder ``[x, 0]`` for
+    the classifier and ``[x, one_hot]`` for the VAE, the decoder
+    ``[z, one_hot]``. Softmax, sigmoid and KL are the textbook formulas;
+    log-variance is clamped to [-10, 10] as the model clamps it.
+    """
+    p = params
+    n, k = len(labels), p["cls_w"].shape[0]
+    code = np.zeros((n, k))
+    code[np.arange(n), labels] = 1.0
+
+    def encoder(c):
+        h = np.maximum(np.concatenate([x, c], axis=1) @ p["enc_w1"].T + p["enc_b1"], 0.0)
+        h = np.maximum(h @ p["enc_w2"].T + p["enc_b2"], 0.0)
+        lv = np.clip(h @ p["enc_wlv"].T + p["enc_blv"], -10.0, 10.0)
+        return h @ p["enc_wmu"].T + p["enc_bmu"], lv
+
+    logits = encoder(np.zeros((n, k)))[0] @ p["cls_w"].T + p["cls_b"]
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    mu, lv = encoder(code)
+    z = mu + np.exp(0.5 * lv) * noise
+    h = np.maximum(np.concatenate([z, code], axis=1) @ p["dec_w1"].T + p["dec_b1"], 0.0)
+    h = np.maximum(h @ p["dec_w2"].T + p["dec_b2"], 0.0)
+    xhat = 1.0 / (1.0 + np.exp(-(h @ p["dec_w3"].T + p["dec_b3"])))
+    kl = float(np.mean(0.5 * np.sum(mu**2 + np.exp(lv) - 1.0 - lv, axis=1)))
+    return cross_entropy_oracle(probs, labels), bce_oracle(x, xhat), kl
+
+
 def accuracy_oracle(preds: np.ndarray, labels: np.ndarray) -> float:
     """Hand-counted percentage of exact matches."""
     hits = 0

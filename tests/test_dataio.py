@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from clare.dataio import (
     IdxFormatError,
     LabeledDataset,
-    concat_datasets,
     load_mnist,
     make_toy_dataset,
     parse_idx,
@@ -132,12 +131,6 @@ class TestLabeledDataset:
     def test_subset_missing_class_rejected(self):
         with pytest.raises(ValueError, match=r"\[5\]"):
             subset_by_classes(self._dataset(), [0, 5])
-
-    def test_concat(self):
-        ds = self._dataset()
-        both = concat_datasets(ds, subset_by_classes(ds, [2]))
-        assert both.n == 7
-        assert both.per_class_counts() == {0: 3, 1: 2, 2: 2}
 
 
 class TestToyDataset:

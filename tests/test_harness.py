@@ -388,6 +388,34 @@ class TestCli:
         assert run_cli(TOY_ARGS + ["--seeds", "a,b"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--lr", "nan"], "lr"),
+            (["--lr", "inf"], "lr"),
+            (["--beta", "nan"], "beta"),
+            (["--toy-spread", "inf"], "toy_spread"),
+            (["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_non_finite_or_negative_value_is_usage_error(self, flags, key, capsys):
+        assert run_cli(TOY_ARGS + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    def test_non_finite_config_file_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("dataset = toy\nlr = nan\n")
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: lr must be finite")
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [("3,-1", "--seeds must be >= 0, got -1"), ("1,1", "--seeds repeats a seed: '1,1'")],
+    )
+    def test_negative_or_repeated_seeds_are_usage_errors(self, seeds, message, capsys):
+        assert run_cli(TOY_ARGS + ["--seeds", seeds]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_invalid_flag_value_is_usage_error(self, capsys):
         assert run_cli(TOY_ARGS + ["--g", "0"]) == 2
         assert "g must be" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Network wiring, loss terms, class expansion, and checkpoints."""
+"""Network wiring, the training objective's loss kernels, class expansion,
+and checkpoints."""
 
 from __future__ import annotations
 
@@ -12,26 +13,22 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import clare.numkit as nk
+from clare import kernels
 from clare.dataio import toy_centers
 from clare.model import (
     ClareModel,
     ClassifyBuffers,
-    LatentGaussian,
-    classification_loss,
     expand_classes,
-    kl_divergence,
     load_model,
     one_hot,
     read_container,
-    reconstruction_loss,
-    reparameterize,
     save_model,
     StepWorkspace,
     forward_backward,
     write_container,
 )
-from conftest import step_on
-from oracles import bce_oracle, cross_entropy_oracle, finite_difference
+from conftest import filled_workspace, step_on
+from oracles import bce_oracle, cross_entropy_oracle, finite_difference, objective_oracle
 
 MINI = dict(class_no=2, d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
 
@@ -107,9 +104,6 @@ class TestForward:
         m = mini_model()
         x = np.random.default_rng(1).uniform(0, 1, size=(5, 6))
         c = one_hot(np.array([0, 1, 0, 1, 0]), 2)
-        latent = m.encode(x, c)
-        assert latent.mu.shape == (5, 2)
-        assert latent.log_var.shape == (5, 2)
         xhat = m.decode(np.zeros((5, 2)), c)
         assert xhat.shape == (5, 6)
         assert ((xhat > 0) & (xhat < 1)).all()
@@ -131,17 +125,20 @@ class TestForward:
         # Blow up the variance head so only the clamp keeps it in range.
         m.tape.param("enc_wlv")[...] = 1e4
         m.tape.param("enc_blv")[...] = -1e4
-        x = np.random.default_rng(3).uniform(size=(16, 6))
-        lv = m.encode(x, np.zeros((16, 2))).log_var
-        assert lv.min() >= -10.0
-        assert lv.max() <= 10.0
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=(16, 6))
+        ws = filled_workspace(m, x, rng.integers(0, 2, size=16), rng.standard_normal((16, 2)))
+        forward_backward(m, ws)
+        assert np.abs(ws.lv_raw).max() > 10.0
+        assert ws.lv.min() >= -10.0
+        assert ws.lv.max() <= 10.0
 
     def test_input_validation(self):
         m = mini_model()
         with pytest.raises(ValueError):
-            m.encode(np.zeros((2, 5)), np.zeros((2, 2)))
+            m.class_logits(np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            m.encode(np.zeros((2, 6)), np.zeros((2, 3)))
+            m.decode(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             m.decode(np.zeros((2, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -169,71 +166,68 @@ class TestForward:
     def test_class_logits_match_the_concatenated_encoder_at_digit_shape(self):
         m = ClareModel(class_no=10, rng=np.random.default_rng(6))
         x = np.random.default_rng(7).uniform(size=(300, 784))
-        mu = m.encode(x, np.zeros((300, 10))).mu
-        want = nk.linear_forward(m.tape.param("cls_w"), m.tape.param("cls_b"), mu)
+        p = m.tape.param
+        h = np.maximum(np.concatenate([x, np.zeros((300, 10))], axis=1) @ p("enc_w1").T
+                       + p("enc_b1"), 0.0)
+        h = np.maximum(h @ p("enc_w2").T + p("enc_b2"), 0.0)
+        want = (h @ p("enc_wmu").T + p("enc_bmu")) @ p("cls_w").T + p("cls_b")
         got = m.class_logits(x)
         # BLAS may block the 784-wide product differently from the 794-wide
         # one, so the two agree to rounding, not bit for bit.
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
-    def test_clone_is_isolated(self):
-        m = mini_model()
-        c = m.clone()
-        c.tape.param("cls_w")[...] = 77.0
-        assert m.tape.param("cls_w").max() < 77.0
-        for name in ("enc_w1", "dec_w3"):
-            assert np.array_equal(m.tape.param(name), c.tape.param(name))
-
 
 class TestReparameterize:
+    """``kernels.reparam_fwd``, the step's latent draw."""
+
     def test_zero_noise_returns_mean(self):
         rng = np.random.default_rng(4)
-        latent = LatentGaussian(mu=rng.standard_normal((3, 4)), log_var=rng.standard_normal((3, 4)))
-        assert np.array_equal(reparameterize(latent, np.zeros((3, 4))), latent.mu)
+        mu, lv = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        assert np.array_equal(kernels.reparam_fwd(mu, lv, np.zeros((3, 4))), mu)
 
     def test_unit_variance_adds_noise_directly(self):
         rng = np.random.default_rng(5)
         mu = rng.standard_normal((3, 4))
         noise = rng.standard_normal((3, 4))
-        z = reparameterize(LatentGaussian(mu=mu, log_var=np.zeros((3, 4))), noise)
+        z = kernels.reparam_fwd(mu, np.zeros((3, 4)), noise)
         assert_allclose(z, mu + noise, rtol=0, atol=0)
 
     def test_sample_moments(self):
         # mu = 1, variance = 4: the draws' sample moments must agree.
         n = 100_000
         noise = np.random.default_rng(6).standard_normal((n, 1))
-        z = reparameterize(
-            LatentGaussian(mu=np.ones((n, 1)), log_var=np.full((n, 1), math.log(4.0))),
-            noise,
-        )
+        z = kernels.reparam_fwd(np.ones((n, 1)), np.full((n, 1), math.log(4.0)), noise)
         assert z.mean() == pytest.approx(1.0, abs=0.05)
         assert z.var() == pytest.approx(4.0, abs=0.2)
 
 
+def kl(mu: np.ndarray, lv: np.ndarray) -> float:
+    return kernels.kl_terms(mu, lv)[0]
+
+
 class TestKLDivergence:
+    """The loss value of ``kernels.kl_terms``, the step's KL term."""
+
     def test_standard_normal_is_zero(self):
-        assert kl_divergence(LatentGaussian(mu=np.zeros((4, 3)), log_var=np.zeros((4, 3)))) == 0.0
+        assert kl(np.zeros((4, 3)), np.zeros((4, 3))) == 0.0
 
     def test_unit_mean_shift_closed_form(self):
         # KL(N(1, 1) || N(0, 1)) = 1/2 per dimension.
-        got = kl_divergence(LatentGaussian(mu=np.ones((1, 1)), log_var=np.zeros((1, 1))))
-        assert got == pytest.approx(0.5, abs=1e-15)
+        assert kl(np.ones((1, 1)), np.zeros((1, 1))) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(7)
         mu = rng.standard_normal((6, 3))
         lv = rng.uniform(-2, 2, size=(6, 3))
         want = float(np.mean(0.5 * np.sum(mu**2 + np.exp(lv) - 1.0 - lv, axis=1)))
-        assert kl_divergence(LatentGaussian(mu=mu, log_var=lv)) == pytest.approx(want, rel=1e-13)
+        assert kl(mu, lv) == pytest.approx(want, rel=1e-13)
 
     def test_batch_mean_semantics(self):
         mu = np.array([[1.0, -2.0]])
         lv = np.array([[0.3, -0.7]])
-        single = kl_divergence(LatentGaussian(mu=mu, log_var=lv))
-        tiled = kl_divergence(
-            LatentGaussian(mu=np.repeat(mu, 5, axis=0), log_var=np.repeat(lv, 5, axis=0))
-        )
+        single = kl(mu, lv)
+        tiled = kl(np.repeat(mu, 5, axis=0), np.repeat(lv, 5, axis=0))
         assert tiled == pytest.approx(single, rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
@@ -242,61 +236,54 @@ class TestKLDivergence:
         hnp.arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
     )
     def test_never_negative(self, mu, lv):
-        assert kl_divergence(LatentGaussian(mu=mu, log_var=lv)) >= 0.0
+        assert kl(mu, lv) >= 0.0
+
+
+def logit(p: np.ndarray) -> np.ndarray:
+    return np.log(p) - np.log1p(-p)
 
 
 class TestReconstructionLoss:
+    """The loss value of ``kernels.bce_logits`` on the logits of ``xhat``."""
+
     def test_uninformative_prediction_costs_log2_per_pixel(self):
         x = np.random.default_rng(8).uniform(size=(3, 784))
-        got = reconstruction_loss(x, np.full((3, 784), 0.5))
+        got = kernels.bce_logits(np.zeros((3, 784)), x)[0]
         assert got == pytest.approx(784 * math.log(2.0), rel=1e-12)
 
     def test_perfect_zeros_limit(self):
         x = np.zeros((2, 10))
-        assert reconstruction_loss(x, np.full((2, 10), 1e-9)) < 1e-6
-
-    def test_boundary_predictions_rejected(self):
-        x = np.zeros((1, 3))
-        with pytest.raises(ValueError, match="strictly inside"):
-            reconstruction_loss(x, np.array([[0.0, 0.5, 0.5]]))
-        with pytest.raises(ValueError, match="strictly inside"):
-            reconstruction_loss(x, np.array([[0.5, 1.0, 0.5]]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruction_loss(np.zeros((2, 3)), np.full((3, 2), 0.5))
+        assert kernels.bce_logits(logit(np.full((2, 10), 1e-9)), x)[0] < 1e-6
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(size=(5, 17))
         xhat = rng.uniform(0.02, 0.98, size=(5, 17))
-        assert reconstruction_loss(x, xhat) == pytest.approx(bce_oracle(x, xhat), rel=1e-10)
+        got = kernels.bce_logits(logit(xhat), x)[0]
+        assert got == pytest.approx(bce_oracle(x, xhat), rel=1e-10)
 
 
 class TestClassificationLoss:
+    """The loss value of ``kernels.softmax_xent``, the step's classifier term."""
+
     def test_uniform_over_ten_classes(self):
-        probs = np.full((4, 10), 0.1)
         labels = np.array([0, 3, 7, 9])
-        assert classification_loss(probs, labels) == pytest.approx(math.log(10.0), rel=1e-12)
+        got = kernels.softmax_xent(np.zeros((4, 10)), labels)[0]
+        assert got == pytest.approx(math.log(10.0), rel=1e-12)
 
     def test_certain_and_correct_costs_nothing(self):
-        probs = np.eye(3)[[0, 1, 2]]
-        # Guard stays happy: nothing here is exactly log(0).
-        probs = np.clip(probs, 1e-300, 1.0)
-        assert classification_loss(probs, np.array([0, 1, 2])) == pytest.approx(0.0, abs=1e-15)
+        logits = 1000.0 * np.eye(3)
+        got = kernels.softmax_xent(logits, np.array([0, 1, 2]))[0]
+        assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_direct_mean(self):
         rng = np.random.default_rng(10)
         logits = rng.standard_normal((8, 5))
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         labels = rng.integers(0, 5, size=8)
-        assert classification_loss(probs, labels) == pytest.approx(
+        assert kernels.softmax_xent(logits, labels)[0] == pytest.approx(
             cross_entropy_oracle(probs, labels), rel=1e-12
         )
-
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            classification_loss(np.full((2, 3), 1 / 3), np.array([0, 3]))
 
 
 class TestTotalLoss:
@@ -322,17 +309,11 @@ class TestTotalLoss:
         x, labels, noise = self._batch(m)
         parts = step_on(m, x, labels, noise)
 
-        probs = m.classify(x)
-        assert parts["classification"] == pytest.approx(
-            classification_loss(probs, labels), rel=1e-12
-        )
-        c = one_hot(labels, m.class_no)
-        latent = m.encode(x, c)
-        assert parts["kl"] == pytest.approx(kl_divergence(latent), rel=1e-12)
-        xhat = m.decode(reparameterize(latent, noise), c)
-        assert parts["reconstruction"] == pytest.approx(
-            reconstruction_loss(x, xhat), rel=1e-10
-        )
+        params = {name: m.tape.param(name) for name in m.tape.names()}
+        ce, rec, kl_want = objective_oracle(params, x, labels, noise)
+        assert parts["classification"] == pytest.approx(ce, rel=1e-12)
+        assert parts["kl"] == pytest.approx(kl_want, rel=1e-12)
+        assert parts["reconstruction"] == pytest.approx(rec, rel=1e-10)
 
     def test_beta_reweights_only_kl(self):
         m = mini_model(14)
@@ -499,6 +480,24 @@ class TestCheckpoint:
         path = str(tmp_path / "partial.clre")
         write_container(path, m.class_no, m.d_z, params)
         with pytest.raises(ValueError, match="cls_w"):
+            load_model(path)
+
+    def test_weight_of_the_wrong_rank_is_named(self, tmp_path):
+        m = mini_model()
+        params = {n: m.tape.param(n) for n in m.tape.names()}
+        params["enc_w1"] = params["enc_w1"].ravel()
+        path = str(tmp_path / "flat.clre")
+        write_container(path, m.class_no, m.d_z, params)
+        with pytest.raises(ValueError, match="tensor 'enc_w1' must be 2-d"):
+            load_model(path)
+
+    def test_unknown_tensor_is_named(self, tmp_path):
+        m = mini_model()
+        params = {n: m.tape.param(n) for n in m.tape.names()}
+        params["junk"] = np.zeros(3)
+        path = str(tmp_path / "extra.clre")
+        write_container(path, m.class_no, m.d_z, params)
+        with pytest.raises(ValueError, match="unknown tensor 'junk'"):
             load_model(path)
 
     @pytest.mark.parametrize("cut", [10, 18, 30, 200])

@@ -65,9 +65,6 @@ class TestBuildSchedule:
     def test_orders_ascending(self):
         assert build_schedule([4, 0, 2], g=2).groups == [[0, 2], [4]]
 
-    def test_all_classes_flattens(self):
-        assert build_schedule([3, 1, 2], g=2).all_classes() == [1, 2, 3]
-
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             build_schedule([0, 1], g=0)

@@ -1,0 +1,45 @@
+"""The README's promises: the quick-start table, the library snippet, and
+the names the package exports."""
+
+from __future__ import annotations
+
+import os
+import re
+
+import clare
+from clare.harness import run_cli
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _fenced_blocks(text: str) -> list[str]:
+    return re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_quick_start_prints_the_readme_table(capsys):
+    blocks = _fenced_blocks(_readme())
+    command = next(b for b in blocks if b.startswith("clare --dataset toy"))
+    table = blocks[blocks.index(command) + 1]
+    assert run_cli(command.split()[1:]) == 0
+    printed = capsys.readouterr().out
+    assert [line.split() for line in printed.splitlines()] == [
+        line.split() for line in table.splitlines()
+    ]
+    assert table.splitlines()[-1].split() == ["1", "7", "100.0", "100.0", "98.7"]
+
+
+def test_library_use_snippet_runs(capsys):
+    section = _readme().split("## Library use", 1)[1]
+    snippet = _fenced_blocks(section)[0]
+    exec(compile(snippet, "README.md (Library use)", "exec"), {})
+    assert capsys.readouterr().out.startswith("[")
+
+
+def test_every_exported_name_resolves():
+    for name in clare.__all__:
+        assert getattr(clare, name, None) is not None, name

@@ -12,6 +12,7 @@ miniature end-to-end runs have a dataset that trains in seconds.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -195,8 +196,8 @@ def make_toy_dataset(
         raise ValueError(
             f"{n_classes} classes do not fit the corners of a {dim}-d grid"
         )
-    if spread < 0.0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
+    if not (math.isfinite(spread) and spread >= 0.0):
+        raise ValueError(f"spread must be finite and non-negative, got {spread}")
     rng = np.random.default_rng(seed)
     images = np.empty((n_classes * n_per_class, dim))
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)

@@ -91,9 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 def read_config_file(path: str, strict: bool = False) -> dict[str, str]:
     """Parse ``key = value`` lines; blanks and ``#`` comments are skipped.
 
-    Values of known config keys are checked here, so an error names the
-    file and line; a key given twice is rejected with both lines. Unknown
-    keys pass through, unless ``strict`` rejects them the same way.
+    Values of known config keys are parsed and validated here, each with
+    the other fields at their defaults, so an error names the file and
+    line; a key given twice is rejected with both lines. Unknown keys pass
+    through, unless ``strict`` rejects them the same way.
     """
     items: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -112,7 +113,7 @@ def read_config_file(path: str, strict: bool = False) -> dict[str, str]:
                     )
                 if strict or key in CONFIG_KEYS:
                     try:
-                        parse_field(key, value)
+                        replace(ExperimentConfig(), **{key: parse_field(key, value)}).validate()
                     except ValueError as exc:
                         raise UsageError(f"{path}:{n}: {exc}") from None
                 items[key], lines[key] = value, n

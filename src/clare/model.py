@@ -38,6 +38,10 @@ CHECKPOINT_VERSION = 1
 # d_z beyond the trunk width adds parameters without adding information.
 MAX_LATENT_DIM = 256
 
+# A decoder's parameters: a name-to-array mapping (a snapshot) or a getter
+# (a model's ``tape.param``).
+Params = Mapping[str, np.ndarray] | Callable[[str], np.ndarray]
+
 
 def one_hot(labels: np.ndarray, class_no: int) -> np.ndarray:
     """Encode integer labels as one-hot rows of width ``class_no``."""
@@ -121,12 +125,7 @@ class ClareModel:
 
     def decode(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Reconstruct pixel probabilities from latents and one-hot codes."""
-        z = nk.as_f64(z)
-        c = nk.as_f64(c)
-        if z.ndim != 2 or z.shape[1] != self.d_z:
-            raise ValueError(f"z shape {z.shape} does not match d_z={self.d_z}")
-        self._check_condition(c, z.shape[0])
-        return decoder_forward(self.tape.param, z, c)
+        return decoder_forward(self.tape.param, self.d_z, z, c)
 
     def class_logits(
         self, x: np.ndarray, buffers: "ClassifyBuffers | None" = None
@@ -135,25 +134,27 @@ class ClareModel:
 
         A zero condition adds nothing to encoder layer 1, so the pass reads
         only the image columns of ``enc_w1`` and skips the log-variance
-        head, as the training step does. Without ``buffers`` each activation
-        is a new array; with them, they are written into its first
-        ``len(x)`` rows. The arithmetic is the same.
+        head, as the training step does. The activations are written into
+        the first ``len(x)`` rows of ``buffers``, which are allocated for
+        ``len(x)`` rows when not given.
         """
         x = nk.as_f64(x)
         self._check_input(x)
+        n = len(x)
+        if buffers is None:
+            buffers = ClassifyBuffers(self, n)
         get = self.tape.param
-        h1 = h2 = mu = logits = None
-        if buffers is not None:
-            n = len(x)
-            h1, h2, mu, logits = buffers.h1[:n], buffers.h2[:n], buffers.mu[:n], buffers.logits[:n]
-        h = nk.linear_forward(get("enc_w1")[:, : self.input_dim], get("enc_b1"), x, out=h1)
-        h = nk.linear_forward(get("enc_w2"), get("enc_b2"), nk.relu(h, out=h), out=h2)
-        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), nk.relu(h, out=h), out=mu)
-        return nk.linear_forward(get("cls_w"), get("cls_b"), mu, out=logits)
+        w1 = get("enc_w1")[:, : self.input_dim]
+        h = nk.linear_forward(w1, get("enc_b1"), x, out=buffers.h1[:n])
+        kernels.relu_fwd(h, out=h)
+        h = nk.linear_forward(get("enc_w2"), get("enc_b2"), h, out=buffers.h2[:n])
+        kernels.relu_fwd(h, out=h)
+        mu = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h, out=buffers.mu[:n])
+        return nk.linear_forward(get("cls_w"), get("cls_b"), mu, out=buffers.logits[:n])
 
     def classify(self, x: np.ndarray, buffers: "ClassifyBuffers | None" = None) -> np.ndarray:
         """Class probabilities; rows sum to 1 and stay strictly positive."""
-        return nk.softmax_rows(self.class_logits(x, buffers))
+        return kernels.softmax_rows(self.class_logits(x, buffers))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -161,12 +162,6 @@ class ClareModel:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
                 f"input shape {x.shape} does not match input_dim={self.input_dim}"
-            )
-
-    def _check_condition(self, c: np.ndarray, batch: int) -> None:
-        if c.shape != (batch, self.class_no):
-            raise ValueError(
-                f"condition shape {c.shape} does not match ({batch}, {self.class_no})"
             )
 
 
@@ -182,18 +177,20 @@ class ClassifyBuffers:
 
 
 class DecodeBuffers:
-    """Decoder input and hidden activations for up to ``rows`` rows.
+    """Decoder input and activations for up to ``rows`` rows.
 
     ``z`` and ``c`` are separate contiguous blocks for the caller to fill (a
-    generator draws only into contiguous memory); ``decoder_forward`` joins
-    them into ``zc`` and writes the hidden layers into ``h1`` and ``h2``.
+    generator draws only into contiguous memory). ``decoder_logits`` writes
+    the condition product ``c @ Wc.T`` into ``cond`` and the hidden layers
+    into ``h1`` and ``h2``.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray], d_z: int, rows: int):
-        w1, w2 = params["dec_w1"], params["dec_w2"]
+    def __init__(self, params: Params, d_z: int, rows: int):
+        get = _getter(params)
+        w1, w2 = get("dec_w1"), get("dec_w2")
         self.z = np.empty((rows, d_z))
         self.c = np.zeros((rows, w1.shape[1] - d_z))
-        self.zc = np.empty((rows, w1.shape[1]))
+        self.cond = np.empty((rows, w1.shape[0]))
         self.h1 = np.empty((rows, w1.shape[0]))
         self.h2 = np.empty((rows, w2.shape[0]))
 
@@ -203,29 +200,64 @@ class DecodeBuffers:
         self.c[:, cls] = 1.0
 
 
+def _getter(params: Params) -> Callable[[str], np.ndarray]:
+    return params if callable(params) else params.__getitem__
+
+
+def decoder_logits(get, d_z: int, z, c, cond, h1, h2, out) -> np.ndarray:
+    """The decoder's forward layers, up to the output logits, into ``out``.
+
+    Layer 1 reads ``[z, c]`` in split form, ``(z @ Wz.T + b1) + c @ Wc.T``,
+    with ``dec_w1`` split after its first ``d_z`` columns; ``c @ Wc.T`` goes
+    into ``cond``. Both hidden layers pass through ReLU in place in ``h1``
+    and ``h2``. Every buffer must have ``len(z)`` rows. Training, replay and
+    ``decode`` all run the decoder through here.
+    """
+    w1 = get("dec_w1")
+    np.matmul(z, w1[:, :d_z].T, out=h1)
+    h1 += get("dec_b1")
+    np.matmul(c, w1[:, d_z:].T, out=cond)
+    h1 += cond
+    kernels.relu_fwd(h1, out=h1)
+    np.matmul(h1, get("dec_w2").T, out=h2)
+    h2 += get("dec_b2")
+    kernels.relu_fwd(h2, out=h2)
+    np.matmul(h2, get("dec_w3").T, out=out)
+    out += get("dec_b3")
+    return out
+
+
 def decoder_forward(
-    params: Mapping[str, np.ndarray] | Callable[[str], object],
+    params: Params,
+    d_z: int,
     z,
     c,
     out: np.ndarray | None = None,
     buffers: DecodeBuffers | None = None,
-):
-    """Run the decoder stack from a parameter mapping (model or snapshot).
+) -> np.ndarray:
+    """Pixel probabilities from a decoder's parameters (model or snapshot).
 
-    Without ``buffers`` the joined input and the hidden activations are new
-    arrays; with them, they are written into its first ``len(z)`` rows. The
-    result goes into ``out`` when given. The arithmetic is the same.
+    ``z`` must be ``(n, d_z)`` and ``c`` ``(n, class_no)``, where
+    ``class_no`` is the width of ``dec_w1`` past ``d_z``; anything else
+    raises ``ValueError``. The activations go into the first ``n`` rows of
+    ``buffers`` and the result into ``out``; either is allocated for ``n``
+    rows when not given.
     """
-    get = params if callable(params) else params.__getitem__
-    zc = h1 = h2 = None
-    if buffers is not None:
-        n = len(z)
-        zc, h1, h2 = buffers.zc[:n], buffers.h1[:n], buffers.h2[:n]
-    h = nk.concat_columns(z, c, out=zc)
-    h = nk.linear_forward(get("dec_w1"), get("dec_b1"), h, out=h1)
-    h = nk.linear_forward(get("dec_w2"), get("dec_b2"), nk.relu(h, out=h), out=h2)
-    logits = nk.linear_forward(get("dec_w3"), get("dec_b3"), nk.relu(h, out=h), out=out)
-    return nk.sigmoid(logits, out=logits)
+    get = _getter(params)
+    z, c = nk.as_f64(z), nk.as_f64(c)
+    class_no = get("dec_w1").shape[1] - d_z
+    if z.ndim != 2 or z.shape[1] != d_z or c.shape != (z.shape[0], class_no):
+        raise ValueError(
+            f"decoder takes z of shape (n, d_z={d_z}) and c of shape "
+            f"(n, class_no={class_no}), got {z.shape} and {c.shape}"
+        )
+    n = len(z)
+    if buffers is None:
+        buffers = DecodeBuffers(get, d_z, n)
+    if out is None:
+        out = np.empty((n, get("dec_w3").shape[0]))
+    logits = decoder_logits(get, d_z, z, c, buffers.cond[:n], buffers.h1[:n], buffers.h2[:n], out)
+    return kernels.sigmoid_fwd(logits, out=logits)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +333,6 @@ def _step_dims(model: ClareModel) -> tuple:
     return (model.input_dim, model.class_no, model.d_z, model.enc_hidden, model.dec_hidden)
 
 
-def _relu(pre: np.ndarray, live: np.ndarray) -> None:
-    """In-place ``max(pre, 0)``, recording where it passes gradient."""
-    np.greater(pre, 0.0, out=live)
-    np.maximum(pre, 0.0, out=pre)
-
-
 def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) -> dict[str, float]:
     """One pass over the training objective; gradients go to the model's tape.
 
@@ -340,11 +366,11 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     cls1 += p("enc_b1")
     np.matmul(ws.one_hot, w1[:, d:].T, out=vae1)
     vae1 += cls1
-    _relu(ws.h1, ws.live1)
+    kernels.relu_fwd(ws.h1, out=ws.h1)
     np.matmul(cls1, p("enc_w2").T, out=ws.h2[:n])
     np.matmul(vae1, p("enc_w2").T, out=ws.h2[n:])
     ws.h2 += p("enc_b2")
-    _relu(ws.h2, ws.live2)
+    kernels.relu_fwd(ws.h2, out=ws.h2)
     h2_cls, h2_vae = ws.h2[:n], ws.h2[n:]
     mu0, mu = ws.mu[:n], ws.mu[n:]
     np.matmul(h2_cls, p("enc_wmu").T, out=mu0)
@@ -363,29 +389,20 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     ce, dlogits = kernels.softmax_xent(ws.logits, labels)
 
     z = kernels.reparam_fwd(mu, ws.lv, ws.noise)
-    w_d1 = p("dec_w1")
-    np.matmul(z, w_d1[:, :d_z].T, out=ws.d1)
-    ws.d1 += p("dec_b1")
-    np.matmul(ws.one_hot, w_d1[:, d_z:].T, out=ws.cond_d)
-    ws.d1 += ws.cond_d
-    _relu(ws.d1, ws.live_d1)
-    np.matmul(ws.d1, p("dec_w2").T, out=ws.d2)
-    ws.d2 += p("dec_b2")
-    _relu(ws.d2, ws.live_d2)
-    np.matmul(ws.d2, p("dec_w3").T, out=ws.out)
-    ws.out += p("dec_b3")
+    decoder_logits(p, d_z, z, ws.one_hot, ws.cond_d, ws.d1, ws.d2, ws.out)
     rec, dout = kernels.bce_logits(ws.out, x)
     kl, dmu_kl, dlv_kl = kernels.kl_terms(mu, ws.lv)
 
     total = ce + rec + kl * beta
     nk.check_finite(total, "total loss")
 
-    # Decoder.
+    # Decoder. Each ReLU passes gradient where its output is positive, which
+    # is exactly where its input was (a NaN has already failed the check).
     nk.linear_backward(dout, ws.d2, p("dec_w3"), g("dec_w3"), g("dec_b3"), ws.dd2)
-    ws.dd2 *= ws.live_d2
+    ws.dd2 *= np.greater(ws.d2, 0.0, out=ws.live_d2)
     nk.linear_backward(ws.dd2, ws.d1, p("dec_w2"), g("dec_w2"), g("dec_b2"), ws.dd1)
-    ws.dd1 *= ws.live_d1
-    nk.linear_backward(ws.dd1, z, w_d1[:, :d_z], g("dec_w1")[:, :d_z], g("dec_b1"), ws.dz)
+    ws.dd1 *= np.greater(ws.d1, 0.0, out=ws.live_d1)
+    nk.linear_backward(ws.dd1, z, p("dec_w1")[:, :d_z], g("dec_w1")[:, :d_z], g("dec_b1"), ws.dz)
     np.matmul(ws.dd1.T, ws.one_hot, out=g("dec_w1")[:, d_z:])
 
     # Latent: the draw, the KL pull and the clip.
@@ -402,9 +419,9 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     nk.linear_backward(ws.dmu, ws.h2, p("enc_wmu"), g("enc_wmu"), g("enc_bmu"), ws.dh2)
     nk.linear_backward(dlv, h2_vae, p("enc_wlv"), g("enc_wlv"), g("enc_blv"), ws.dh2_lv)
     ws.dh2[n:] += ws.dh2_lv
-    ws.dh2 *= ws.live2
+    ws.dh2 *= np.greater(ws.h2, 0.0, out=ws.live2)
     nk.linear_backward(ws.dh2, ws.h1, p("enc_w2"), g("enc_w2"), g("enc_b2"), ws.dh1)
-    ws.dh1 *= ws.live1
+    ws.dh1 *= np.greater(ws.h1, 0.0, out=ws.live1)
 
     # Encoder layer 1: both passes saw the same image, so their gradients
     # sum before the single image product; only the VAE pass saw a condition.

@@ -1,11 +1,12 @@
-"""Parameter store, array ops and optimizers over float64 numpy arrays.
+"""Parameter store, the linear layer and optimizers over float64 numpy arrays.
 
 ``ParamTape`` holds every named parameter and its gradient as views into
-two flat buffers. The ops here are plain array functions for inference and
-for the hand-written training step in ``model``: ``linear_backward`` writes
-a layer's weight and bias gradients straight into the tape's views. There
-is no recorded graph; ``optimizer_step`` consumes the gradients the step
-assigned, in one pass over the flat buffers.
+two flat buffers. ``linear_forward`` is the classifier pass's affine map;
+``linear_backward`` writes a layer's weight and bias gradients for the
+hand-written training step in ``model`` straight into the tape's views.
+Activations are called from ``kernels`` directly. There is no recorded
+graph; ``optimizer_step`` consumes the gradients the step assigned, in one
+pass over the flat buffers.
 """
 
 from __future__ import annotations
@@ -157,39 +158,6 @@ def linear_backward(g, x, w, dw, db, dx=None) -> None:
         np.matmul(g, w, out=dx)
 
 
-def relu(x, out=None):
-    """Elementwise ``max(x, 0)``, into ``out`` when given (it may be ``x``)."""
-    return kernels.relu_fwd(as_f64(x), out=out)
-
-
-def sigmoid(x, out=None):
-    """Elementwise logistic function, clamped inside the open interval (0, 1).
-
-    Written into ``out`` when given; ``out`` may be ``x``.
-    """
-    return kernels.sigmoid_fwd(as_f64(x), out=out)
-
-
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with the log-sum-exp shift.
-
-    Rows sum to 1 within 1e-12 and stay strictly positive: exponentials are
-    floored at the smallest normal float before normalizing, so even a row
-    like ``[1000, 0]`` neither overflows nor produces an exact zero.
-    """
-    x = as_f64(x)
-    _require_2d(x, "logits")
-    return kernels.softmax_rows(x)
-
-
-def concat_columns(a, b, out=None):
-    """Concatenate two batches along columns (axis 1), into ``out`` when given."""
-    a, b = as_f64(a), as_f64(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"batch sizes differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1, out=out)
-
-
 # ---------------------------------------------------------------------------
 # init and optimizers
 # ---------------------------------------------------------------------------
@@ -219,8 +187,8 @@ class OptimizerState:
     def __init__(self, kind: str, lr: float):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.kind = kind
         self.lr = lr
         self.step = 0

@@ -149,8 +149,9 @@ def run_increment(
     """One increment: replay, merge, retrain, snapshot, evaluate.
 
     ``seed`` is this phase's derived seed. ``on_replay`` (when given) sees
-    the generated buffer before training, for inspection dumps. Returns a
-    new state; the input state is not modified.
+    the generated buffer before training, for inspection dumps, with the
+    original class labels; training uses the dense ids. Returns a new
+    state; the input state is not modified.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -186,7 +187,7 @@ def run_increment(
         counts = balance_counts(list(range(len(state.learned))), new_counts)
         buffer = generate_replay(state.snapshot, counts, replay_seed)
         if on_replay is not None:
-            on_replay(phase, buffer)
+            on_replay(phase, replace(buffer, labels=np.asarray(state.learned)[buffer.labels]))
 
     if buffer is not None and len(buffer):
         merged_x = np.concatenate([buffer.images, new_x], axis=0)

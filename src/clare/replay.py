@@ -55,9 +55,10 @@ class DecoderSnapshot:
         """Pixel probabilities for latent rows ``z`` under one-hot codes ``c``.
 
         ``out`` and ``buffers`` are optional destinations for the result and
-        the activations, as in ``decoder_forward``.
+        the activations, as in ``decoder_forward``, which also checks the
+        widths of ``z`` and ``c`` against ``d_z`` and ``class_no``.
         """
-        return decoder_forward(self.params, z, c, out, buffers)
+        return decoder_forward(self.params, self.d_z, z, c, out, buffers)
 
 
 @dataclass

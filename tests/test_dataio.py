@@ -179,6 +179,11 @@ class TestToyDataset:
         with pytest.raises(ValueError, match="spread"):
             make_toy_dataset(2, 10, dim=2, spread=-0.1)
 
+    @pytest.mark.parametrize("spread", [float("nan"), float("inf")])
+    def test_non_finite_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread must be finite"):
+            make_toy_dataset(2, 3, dim=2, spread=spread)
+
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ValueError):
             make_toy_dataset(0, 10)

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clare.config import ExperimentConfig, config_from_items
-from clare.dataio import parse_idx
+from clare.dataio import parse_idx, write_idx
 from clare.harness import UsageError, read_config_file, run_cli
 from clare import metrics
 from clare.metrics import average_over_tasks, evaluate
@@ -354,6 +354,27 @@ class TestCli:
         _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
         assert sorted(set(labels2.tolist())) == [0, 1]
 
+    def test_dump_replay_writes_original_labels(self, tmp_path, capsys):
+        # An IDX corpus holding only digits 3, 5 and 7, as 2x2 images.
+        rng = np.random.default_rng(8)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for split, n in (("train", 60), ("t10k", 30)):
+            images = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
+            labels = np.repeat(np.array([3, 5, 7], dtype=np.uint8), n // 3)
+            (corpus / f"{split}-images-idx3-ubyte").write_bytes(write_idx(images))
+            (corpus / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(labels))
+        dump = tmp_path / "buffers"
+        code = run_cli(["--dataset", "mnist", "--data-dir", str(corpus), "--epochs", "1",
+                        "--batch", "16", "--latent-dim", "2", "--seed", "7",
+                        "--dump-replay", str(dump)])
+        assert code == 0
+        capsys.readouterr()
+        _, labels = parse_idx((dump / "replay-s7-01-labels-idx").read_bytes())
+        assert set(labels.tolist()) == {3}
+        _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
+        assert set(labels2.tolist()) == {3, 5}
+
     def test_dump_replay_outside_incremental_mode_rejected(self, tmp_path, capsys):
         code = run_cli(["--mode", "joint"] + TOY_ARGS + ["--dump-replay", str(tmp_path / "d")])
         assert code == 2
@@ -406,7 +427,7 @@ class TestCli:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("dataset = toy\nlr = nan\n")
         assert run_cli(["--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: lr must be finite")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: lr must be finite")
 
     @pytest.mark.parametrize(
         "seeds, message",

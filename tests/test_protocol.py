@@ -161,6 +161,18 @@ class TestRunIncrement:
         # No replay before anything is learned; then one share per old class.
         assert calls == [(1, 60), (2, 120)]
 
+    def test_on_replay_sees_original_labels(self, data):
+        # Classes 3, 5 and 7 train as dense ids 0, 1 and 2.
+        original = np.array([3, 5, 7])
+        train, test = (LabeledDataset(images=d.images, labels=original[d.labels]) for d in data)
+        seen = []
+        records = run_experiment(
+            train, test, build_schedule([3, 5, 7], g=1), FAST, seed=12,
+            on_replay=lambda phase, buf: seen.append(set(buf.labels.tolist())),
+        )
+        assert seen == [{3}, {3, 5}]
+        assert [r.classes_seen for r in records] == [[3], [3, 5], [3, 5, 7]]
+
 
 class TestDivergence:
     def test_nan_input_reports_increment_epoch_step_and_loss(self, data):

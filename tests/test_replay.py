@@ -21,6 +21,7 @@ from clare.replay import (
     save_snapshot,
     take_snapshot,
 )
+from oracles import sigmoid_oracle
 
 
 def small_model(seed=0, class_no=3) -> ClareModel:
@@ -97,6 +98,14 @@ class TestSnapshot:
         with pytest.raises(ValueError, match=rf"{name!r} has shape \({shape[0]},") as err:
             load_snapshot(path)
         assert str(before) in str(err.value)
+
+    def test_latents_and_codes_of_the_wrong_widths_are_rejected(self):
+        # d_z + 1 and class_no - 1 columns add up to dec_w1's width.
+        m = small_model(5)
+        z, c = np.zeros((2, m.d_z + 1)), np.zeros((2, m.class_no - 1))
+        for decoder in (take_snapshot(m, increment=0), m):
+            with pytest.raises(ValueError, match=r"d_z=2\) and c of shape \(n, class_no=3\)"):
+                decoder.decode(z, c)
 
 
 class TestBalanceCounts:
@@ -219,7 +228,7 @@ def chunk_and_concatenate(snapshot, counts, seed):
             n = min(CHUNK, counts[cls] - start)
             z = rng.standard_normal((n, snapshot.d_z))
             c = one_hot(np.full(n, cls), snapshot.class_no)
-            parts_x.append(decoder_forward(snapshot.params, z, c))
+            parts_x.append(decoder_forward(snapshot.params, snapshot.d_z, z, c))
             parts_y.append(np.full(n, cls, dtype=np.int64))
     return np.concatenate(parts_x), np.concatenate(parts_y)
 
@@ -298,6 +307,37 @@ class TestPreallocatedGeneration:
         assert peak < output_bytes + 4 * chunk_bytes, (
             f"peak {peak / 2**20:.2f} MiB, output {output_bytes / 2**20:.2f} MiB"
         )
+
+
+def concatenated_decoder(p, z, c):
+    """Plain numpy decoder over the joined input ``[z, c]``."""
+    h = np.maximum(np.concatenate([z, c], axis=1) @ p("dec_w1").T + p("dec_b1"), 0.0)
+    h = np.maximum(h @ p("dec_w2").T + p("dec_b2"), 0.0)
+    return sigmoid_oracle(h @ p("dec_w3").T + p("dec_b3"))
+
+
+class TestSplitFormDecoder:
+    def test_decode_and_replay_match_the_concatenated_decoder_at_digit_shape(self):
+        m = ClareModel(class_no=10, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(9)
+        # Non-zero biases, so adding b1 before or after the condition rounds differently.
+        for name in ("dec_b1", "dec_b2", "dec_b3"):
+            m.tape.param(name)[...] = rng.normal(scale=0.1, size=m.tape.param(name).shape)
+        p = m.tape.param
+        z = rng.standard_normal((300, m.d_z))
+        c = one_hot(rng.integers(0, 10, 300), 10)
+        # The split form sums the K=64 product and the condition column in a
+        # different order from the K=74 product, so they agree to rounding.
+        assert_allclose(m.decode(z, c), concatenated_decoder(p, z, c), rtol=1e-13, atol=0)
+
+        counts = {0: 300, 4: 200, 9: 100}
+        buf = generate_replay(take_snapshot(m, increment=0), counts, seed=3)
+        want = []
+        for cls, n in counts.items():
+            draws = np.random.default_rng(np.random.SeedSequence([3, cls]))
+            z = draws.standard_normal((n, m.d_z))
+            want.append(concatenated_decoder(p, z, one_hot(np.full(n, cls), 10)))
+        assert_allclose(buf.images, np.concatenate(want), rtol=1e-13, atol=0)
 
 
 class TestMergedRatios:

@@ -87,9 +87,6 @@ class ExperimentConfig:
         out.validate()
         return out
 
-    def input_dim(self) -> int:
-        return 784 if self.dataset == "mnist" else self.toy_dim
-
     # -- key/value round trip ------------------------------------------------
 
     def to_items(self) -> list[tuple[str, str]]:

@@ -21,7 +21,6 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .config import (
-    CONFIG_KEYS,
     ENV_DATA_DIR,
     ExperimentConfig,
     config_from_items,
@@ -88,13 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def read_config_file(path: str, strict: bool = False) -> dict[str, str]:
+def read_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; blanks and ``#`` comments are skipped.
 
-    Values of known config keys are parsed and validated here, each with
-    the other fields at their defaults, so an error names the file and
-    line; a key given twice is rejected with both lines. Unknown keys pass
-    through, unless ``strict`` rejects them the same way.
+    Each value is parsed and validated here, with the other fields at their
+    defaults, so an unknown key or a bad value is rejected naming the file
+    and line; a key given twice is rejected with both lines.
     """
     items: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -111,11 +109,10 @@ def read_config_file(path: str, strict: bool = False) -> dict[str, str]:
                     raise UsageError(
                         f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
                     )
-                if strict or key in CONFIG_KEYS:
-                    try:
-                        replace(ExperimentConfig(), **{key: parse_field(key, value)}).validate()
-                    except ValueError as exc:
-                        raise UsageError(f"{path}:{n}: {exc}") from None
+                try:
+                    replace(ExperimentConfig(), **{key: parse_field(key, value)}).validate()
+                except ValueError as exc:
+                    raise UsageError(f"{path}:{n}: {exc}") from None
                 items[key], lines[key] = value, n
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -126,7 +123,7 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """Layer the effective config: defaults, then config file, then flags."""
     if args.config:
         try:
-            config = config_from_items(read_config_file(args.config, strict=True))
+            config = config_from_items(read_config_file(args.config))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     else:
@@ -266,11 +263,14 @@ def run_cli(argv: list[str] | None = None) -> int:
         for seed in seeds:
             run_config = replace(config, seed=seed)
             train, test = load_datasets(run_config)
-            on_replay = (
-                _replay_dumper(args.dump_replay, train.dim, seed)
-                if args.dump_replay
-                else None
-            )
+            on_replay = None
+            if args.dump_replay:
+                wide = [cls for cls in train.classes() if cls > 255]
+                if wide:
+                    raise UsageError(
+                        f"--dump-replay writes labels as bytes; class {wide[0]} is above 255"
+                    )
+                on_replay = _replay_dumper(args.dump_replay, train.dim, seed)
             records = run_mode(args.mode, train, test, run_config, seed, on_replay)
             runs.append(RunResult(seed=seed, records=records))
         report = ResultsReport(
@@ -280,8 +280,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             total_seconds=time.perf_counter() - started,
         )
         print_table(report)
-        if args.out_path:
-            write_report(report, args.out_path)
+        if config.out_path:
+            write_report(report, config.out_path)
         if args.csv:
             write_csv(report, args.csv)
     except UsageError as exc:

@@ -6,13 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClareModel, ClassifyBuffers
-
-# Rows per classifier batch. One batch's activations are allocated once per
-# call and reused; 256 rows keep them near a megabyte. 512- and 2048-row
-# buffers raised the digit benchmark's peak resident memory by 8-9% in the
-# runs tried.
-_EVAL_BATCH = 256
+from .model import ClareModel
 
 
 def evaluate(
@@ -20,9 +14,10 @@ def evaluate(
 ) -> tuple[float, dict[int, float]]:
     """Overall and per-class accuracy in percent.
 
-    Predictions take the argmax of the class probabilities; on a tie the
-    lowest class index wins (numpy's argmax convention). ``labels`` must use
-    the model's dense class ids.
+    Predictions take the argmax of the class probabilities from one
+    ``classify`` call over every image (the model runs it in chunks); on a
+    tie the lowest class index wins (numpy's argmax convention). ``labels``
+    must use the model's dense class ids.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -38,12 +33,7 @@ def evaluate(
             f"labels must be dense ids 0..{model.class_no - 1} of the model's "
             f"{model.class_no} classes, got labels in {lo}..{hi}"
         )
-    preds = np.empty_like(labels)
-    buffers = ClassifyBuffers(model, min(_EVAL_BATCH, labels.shape[0]))
-    for start in range(0, labels.shape[0], _EVAL_BATCH):
-        stop = start + _EVAL_BATCH
-        probs = model.classify(images[start:stop], buffers)
-        preds[start:stop] = probs.argmax(axis=1)
+    preds = model.classify(images).argmax(axis=1)
     overall = 100.0 * float(np.mean(preds == labels))
     per_class = {}
     for cls in np.unique(labels):

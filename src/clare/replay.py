@@ -5,9 +5,9 @@ snapshot turns latent prior draws plus one-hot class codes into synthetic
 images of every class learned so far, sized to match the incoming real
 data, so retraining sees a balanced mix and old classes survive.
 
-Generation allocates the result once and decodes each chunk of draws
-straight into its rows, through one chunk's worth of reused activation
-buffers.
+Generation allocates the result once and decodes each class's draws
+straight into its rows with one ``decode`` call; the decoder runs them in
+chunks (see ``model.decoder_forward``).
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from . import model as model_mod
-from .model import ClareModel, DecodeBuffers, decoder_forward
+from .model import ClareModel, decoder_forward, one_hot
 
 _DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
-
-_GENERATE_CHUNK = 1024
 
 
 @dataclass
@@ -45,20 +43,14 @@ class DecoderSnapshot:
     def output_dim(self) -> int:
         return self.params["dec_w3"].shape[0]
 
-    def decode(
-        self,
-        z: np.ndarray,
-        c: np.ndarray,
-        out: np.ndarray | None = None,
-        buffers: DecodeBuffers | None = None,
-    ) -> np.ndarray:
+    def decode(self, z: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pixel probabilities for latent rows ``z`` under one-hot codes ``c``.
 
-        ``out`` and ``buffers`` are optional destinations for the result and
-        the activations, as in ``decoder_forward``, which also checks the
-        widths of ``z`` and ``c`` against ``d_z`` and ``class_no``.
+        ``out`` is an optional destination for the result, as in
+        ``decoder_forward``, which also checks the widths of ``z`` and ``c``
+        against ``d_z`` and ``class_no``.
         """
-        return decoder_forward(self.params, self.d_z, z, c, out, buffers)
+        return decoder_forward(self.params.__getitem__, self.d_z, z, c, out)
 
 
 @dataclass
@@ -111,8 +103,8 @@ def generate_replay(
     so the samples produced for a class do not depend on which other classes
     were requested or on the mapping's iteration order. Classes are
     assembled in sorted order. The whole request is checked before anything
-    is allocated; each chunk of at most ``_GENERATE_CHUNK`` draws is then
-    decoded into its rows of the one result array.
+    is allocated; each class's draws are then decoded into its rows of the
+    one result array.
     """
     classes = sorted(per_class_counts)
     for cls in classes:
@@ -126,19 +118,13 @@ def generate_replay(
     counts = [per_class_counts[cls] for cls in classes]
     images = np.empty((sum(counts), snapshot.output_dim))
     labels = np.repeat(np.array(classes, dtype=np.int64), counts)
-    rows = min(_GENERATE_CHUNK, max(counts, default=0))
-    buffers = DecodeBuffers(snapshot.params, snapshot.d_z, rows)
     row = 0
     for cls, count in zip(classes, counts):
-        if count == 0:
-            continue
-        buffers.condition_on(cls)
         rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
-        for start in range(0, count, _GENERATE_CHUNK):
-            n = min(_GENERATE_CHUNK, count - start)
-            z = rng.standard_normal(out=buffers.z[:n])
-            snapshot.decode(z, buffers.c[:n], out=images[row : row + n], buffers=buffers)
-            row += n
+        z = rng.standard_normal((count, snapshot.d_z))
+        c = one_hot(np.full(count, cls), snapshot.class_no)
+        snapshot.decode(z, c, out=images[row : row + count])
+        row += count
     return ReplayBuffer(
         images=images,
         labels=labels,

@@ -120,8 +120,24 @@ def write_report(report: ResultsReport, path: str) -> None:
         fh.write(render_report(report))
 
 
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _per_class(text: str) -> dict[int, float]:
+    pairs = (pair.split(":") for pair in text.split(","))
+    return {int(cls): float(acc) for cls, acc in pairs}
+
+
 def parse_report(text: str) -> ResultsReport:
-    """Parse and validate report text; summaries are recomputed and checked."""
+    """Parse and validate report text; summaries are recomputed and checked.
+
+    A value that does not convert raises ``ReportFormatError`` naming its key.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         head = lines[0].strip() if lines else "<empty>"
@@ -139,10 +155,14 @@ def parse_report(text: str) -> ResultsReport:
             raise ReportFormatError(f"duplicate key {key!r} on line {n}")
         kv[key] = value
 
-    def take(key: str) -> str:
+    def take(key: str, convert=str):
         if key not in kv:
             raise ReportFormatError(f"report is missing key {key!r}")
-        return kv.pop(key)
+        value = kv.pop(key)
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ReportFormatError(f"report key {key!r} has bad value {value!r}: {exc}") from None
 
     mode = take("mode")
     version = take("artifact.version")
@@ -155,29 +175,25 @@ def parse_report(text: str) -> ResultsReport:
     except ValueError as exc:
         raise ReportFormatError(f"bad config echo: {exc}") from exc
 
-    seeds_text = take("seeds")
-    seeds = [int(s) for s in seeds_text.split(",")] if seeds_text else []
+    seeds = take("seeds", lambda text: _ints(text) if text else [])
     runs = []
     for r, seed in enumerate(seeds):
         prefix = f"run.{r}"
-        if int(take(f"{prefix}.seed")) != seed:
+        if take(f"{prefix}.seed", int) != seed:
             raise ReportFormatError(f"run {r} seed does not match the seeds line")
         records = []
         inc = 0
         while f"{prefix}.record.{inc}.increment" in kv:
             rp = f"{prefix}.record.{inc}"
             take(f"{rp}.increment")
-            classes = [int(c) for c in take(f"{rp}.classes").split(",")]
-            overall = float(take(f"{rp}.overall"))
-            per_class = {}
-            for pair in take(f"{rp}.per_class").split(","):
-                cls, acc = pair.split(":")
-                per_class[int(cls)] = float(acc)
-            seconds = float(take(f"{rp}.seconds"))
+            classes = take(f"{rp}.classes", _ints)
+            overall = take(f"{rp}.overall", float)
+            per_class = take(f"{rp}.per_class", _per_class)
+            seconds = take(f"{rp}.seconds", float)
             trace = {}
             for key in TRACE_KEYS:
                 if f"{rp}.trace.{key}" in kv:
-                    trace[key] = [float(v) for v in take(f"{rp}.trace.{key}").split(",")]
+                    trace[key] = take(f"{rp}.trace.{key}", _floats)
             records.append(
                 MetricsRecord(
                     increment=inc,
@@ -192,7 +208,7 @@ def parse_report(text: str) -> ResultsReport:
         if not records:
             raise ReportFormatError(f"run {r} has no records")
         for key, value in run_summaries(records).items():
-            stored = float(take(f"{prefix}.summary.{key}"))
+            stored = take(f"{prefix}.summary.{key}", float)
             if not math.isclose(stored, value, rel_tol=0.0, abs_tol=1e-12):
                 raise ReportFormatError(
                     f"run {r} summary {key} is {stored}, recomputed {value}"
@@ -200,18 +216,18 @@ def parse_report(text: str) -> ResultsReport:
         runs.append(RunResult(seed=seed, records=records))
 
     for key, (mean, std) in aggregate_summaries(runs).items():
-        stored_mean = float(take(f"summary.{key}.mean"))
+        stored_mean = take(f"summary.{key}.mean", float)
         if not math.isclose(stored_mean, mean, rel_tol=0.0, abs_tol=1e-12):
             raise ReportFormatError(
                 f"summary {key} mean is {stored_mean}, recomputed {mean}"
             )
         if std is not None:
-            stored_std = float(take(f"summary.{key}.std"))
+            stored_std = take(f"summary.{key}.std", float)
             if not math.isclose(stored_std, std, rel_tol=0.0, abs_tol=1e-12):
                 raise ReportFormatError(
                     f"summary {key} std is {stored_std}, recomputed {std}"
                 )
-    total_seconds = float(take("total_seconds"))
+    total_seconds = take("total_seconds", float)
     if kv:
         raise ReportFormatError(f"unrecognized keys in report: {sorted(kv)}")
     return ResultsReport(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from numpy.testing import assert_allclose
 from clare.config import ExperimentConfig, config_from_items
 from clare.dataio import parse_idx, write_idx
 from clare.harness import UsageError, read_config_file, run_cli
-from clare import metrics
+from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
 from clare.protocol import MetricsRecord
@@ -56,7 +58,7 @@ class TestEvaluate:
     def test_batching_does_not_change_results(self):
         model = ClareModel(class_no=2, rng=np.random.default_rng(3), **MINI)
         rng = np.random.default_rng(4)
-        # More rows than one eval batch, so the loop takes several passes.
+        # More rows than one classifier chunk, so the pass takes several.
         images = rng.uniform(size=(5000, 6))
         labels = rng.integers(0, 2, size=5000)
         overall, _ = evaluate(model, images, labels)
@@ -70,7 +72,7 @@ class TestEvaluate:
         images = rng.uniform(size=(600, 6))
         labels = rng.integers(0, 3, size=600)
         want = evaluate(model, images, labels)
-        monkeypatch.setattr(metrics, "_EVAL_BATCH", batch)
+        monkeypatch.setattr(model_mod, "_CLASSIFY_ROWS", batch)
         assert evaluate(model, images, labels) == want
 
     @pytest.mark.parametrize("n_images, n_labels", [(5, 10), (3000, 2100)])
@@ -202,6 +204,25 @@ class TestReportRoundTrip:
         with pytest.raises(ReportFormatError, match="mystery.key"):
             parse_report(text)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("run.0.record.0.overall", "abc"),
+            ("run.0.record.0.per_class", "0100.0"),
+            ("seeds", "x"),
+            ("run.0.record.1.classes", "0,a"),
+            ("run.0.record.0.trace.total", "1.0,z"),
+            ("total_seconds", "q"),
+        ],
+    )
+    def test_malformed_value_names_its_key(self, key, value):
+        lines = render_report(_tiny_report()).splitlines()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        assert f"{key} = {value}" in lines
+        with pytest.raises(ReportFormatError,
+                           match=re.escape(f"report key {key!r} has bad value {value!r}")):
+            parse_report("\n".join(lines) + "\n")
+
     def test_duplicate_keys_rejected(self):
         text = render_report(_tiny_report())
         text += "mode = joint\n"
@@ -296,10 +317,23 @@ class TestCli:
         assert report.config.toy_dim == 4  # file beats default
         capsys.readouterr()
 
+    def test_out_path_from_config_file_is_written(self, tmp_path, capsys):
+        path = tmp_path / "rep.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out_path = {path}\ndataset = toy\nepochs = 1\n")
+        assert run_cli(["--config", str(cfg)]) == 0
+        assert read_report(str(path)).config.out_path == str(path)
+        flag = tmp_path / "flag.txt"
+        path.unlink()
+        assert run_cli(["--config", str(cfg), "--out", str(flag)]) == 0
+        assert read_report(str(flag)).config.out_path == str(flag)
+        assert not path.exists()
+        capsys.readouterr()
+
     def test_config_file_parser(self, tmp_path):
         cfg = tmp_path / "x.cfg"
-        cfg.write_text("a = 1\n\n# comment\nb = two words\n")
-        assert read_config_file(str(cfg)) == {"a": "1", "b": "two words"}
+        cfg.write_text("seed = 1\n\n# comment\ndata_dir = two words\n")
+        assert read_config_file(str(cfg)) == {"seed": "1", "data_dir": "two words"}
         cfg.write_text("not a pair\n")
         with pytest.raises(UsageError, match="key = value"):
             read_config_file(str(cfg))
@@ -374,6 +408,15 @@ class TestCli:
         assert set(labels.tolist()) == {3}
         _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
         assert set(labels2.tolist()) == {3, 5}
+
+    def test_dump_replay_rejects_labels_above_a_byte(self, tmp_path, capsys):
+        dump = tmp_path / "buffers"
+        code = run_cli(["--dataset", "toy", "--toy-classes", "257", "--toy-dim", "9",
+                        "--toy-per-class", "2", "--g", "256", "--epochs", "1",
+                        "--dump-replay", str(dump)])
+        assert code == 2
+        assert "class 256" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_dump_replay_outside_incremental_mode_rejected(self, tmp_path, capsys):
         code = run_cli(["--mode", "joint"] + TOY_ARGS + ["--dump-replay", str(tmp_path / "d")])

@@ -14,10 +14,10 @@ from numpy.testing import assert_allclose
 
 import clare.numkit as nk
 from clare import kernels
+from clare import model as model_mod
 from clare.dataio import toy_centers
 from clare.model import (
     ClareModel,
-    ClassifyBuffers,
     expand_classes,
     load_model,
     one_hot,
@@ -154,14 +154,23 @@ class TestForward:
         got = m.class_logits(x)
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
-        buffers = ClassifyBuffers(m, 12)
-        assert np.array_equal(m.class_logits(x, buffers), want)
-        assert np.array_equal(m.classify(x, buffers), m.classify(x))
 
-    def test_class_logits_buffers_refuse_more_rows_than_they_hold(self):
-        m = mini_model()
-        with pytest.raises(ValueError):
-            m.class_logits(np.zeros((5, 6)), ClassifyBuffers(m, 4))
+    def test_inference_runs_in_chunks_of_any_number_of_rows(self):
+        m = ClareModel(class_no=3, d_z=4, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8),
+                       rng=np.random.default_rng(9))
+        rng = np.random.default_rng(10)
+        rows, step = 600, model_mod._CLASSIFY_ROWS
+        x = rng.uniform(size=(rows, 6))
+        slices = [m.class_logits(x[i : i + step]) for i in range(0, rows, step)]
+        assert np.array_equal(m.class_logits(x), np.concatenate(slices))
+        rows, step = 2100, model_mod._DECODE_ROWS
+        z = rng.standard_normal((rows, 4))
+        c = one_hot(rng.integers(0, 3, rows), 3)
+        slices = [m.decode(z[i : i + step], c[i : i + step]) for i in range(0, rows, step)]
+        assert np.array_equal(m.decode(z, c), np.concatenate(slices))
+        assert m.class_logits(np.zeros((0, 6))).shape == (0, 3)
+        assert m.classify(np.zeros((0, 6))).shape == (0, 3)
+        assert m.decode(np.zeros((0, 4)), np.zeros((0, 3))).shape == (0, 6)
 
     def test_class_logits_match_the_concatenated_encoder_at_digit_shape(self):
         m = ClareModel(class_no=10, rng=np.random.default_rng(6))

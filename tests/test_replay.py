@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from clare import replay
-from clare.model import ClareModel, DecodeBuffers, decoder_forward, one_hot, write_container
+from clare import model as model_mod
+from clare.model import ClareModel, decoder_forward, one_hot, write_container
 from clare.replay import (
     DecoderSnapshot,
     balance_counts,
@@ -216,7 +216,7 @@ class TestGenerateReplay:
         assert len(buf) == sum(counts.values())
 
 
-CHUNK = replay._GENERATE_CHUNK
+CHUNK = model_mod._DECODE_ROWS
 
 
 def chunk_and_concatenate(snapshot, counts, seed):
@@ -228,7 +228,7 @@ def chunk_and_concatenate(snapshot, counts, seed):
             n = min(CHUNK, counts[cls] - start)
             z = rng.standard_normal((n, snapshot.d_z))
             c = one_hot(np.full(n, cls), snapshot.class_no)
-            parts_x.append(decoder_forward(snapshot.params, snapshot.d_z, z, c))
+            parts_x.append(decoder_forward(snapshot.params.__getitem__, snapshot.d_z, z, c))
             parts_y.append(np.full(n, cls, dtype=np.int64))
     return np.concatenate(parts_x), np.concatenate(parts_y)
 
@@ -270,15 +270,10 @@ class TestPreallocatedGeneration:
         out = np.empty((9, snap.output_dim))
         assert snap.decode(z, c, out=out) is out
         assert np.array_equal(out, want)
-        buffers = DecodeBuffers(snap.params, snap.d_z, rows=12)
-        out = np.empty((9, snap.output_dim))
-        assert snap.decode(z, c, out=out, buffers=buffers) is out
-        assert np.array_equal(out, want)
-        assert np.array_equal(snap.decode(z, c, buffers=buffers), want)
         with pytest.raises(ValueError):
-            snap.decode(z[:, :1], c, out=out, buffers=buffers)  # would broadcast
+            snap.decode(z[:, :1], c, out=out)  # would broadcast
         with pytest.raises(ValueError):
-            snap.decode(np.vstack([z, z]), np.vstack([c, c]), buffers=buffers)  # 18 > 12 rows
+            snap.decode(z, c, out=np.empty((10, snap.output_dim)))  # one row too many
 
     @pytest.mark.parametrize("counts", [{0: 10**12, 3: 5}, {0: 10**12, 1: -1}])
     def test_bad_request_rejected_before_anything_is_allocated(self, counts, monkeypatch):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+
+from .model import MAX_LATENT_DIM
 
 ENV_DATA_DIR = "CLARE_DATA_DIR"
 
@@ -60,8 +62,12 @@ class ExperimentConfig:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.d_z < 1:
-            raise ValueError(f"latent dim must be >= 1, got {self.d_z}")
+        if not 1 <= self.d_z <= MAX_LATENT_DIM:
+            raise ValueError(f"d_z (latent dim) must be in [1, {MAX_LATENT_DIM}], got {self.d_z}")
+        for name in ("enc_hidden", "dec_hidden"):
+            widths = getattr(self, name)
+            if widths is not None and (len(widths) != 2 or min(widths) < 1):
+                raise ValueError(f"{name} must be two widths >= 1, got {widths}")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.start not in ("scratch", "warm"):

@@ -174,20 +174,27 @@ def load_datasets(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledData
         except FileNotFoundError as exc:
             raise UsageError(str(exc)) from exc
     train_ss, test_ss = np.random.SeedSequence([config.seed, 0xD474]).spawn(2)
-    train = make_toy_dataset(
-        config.toy_classes,
-        config.toy_per_class,
-        dim=config.toy_dim,
-        spread=config.toy_spread,
-        seed=train_ss,
-    )
-    test = make_toy_dataset(
-        config.toy_classes,
-        max(50, config.toy_per_class // 2),
-        dim=config.toy_dim,
-        spread=config.toy_spread,
-        seed=test_ss,
-    )
+    # Cross-field limits (such as toy_classes against toy_dim) are checked
+    # here rather than in validate(), which config files run one key at a time.
+    try:
+        train = make_toy_dataset(
+            config.toy_classes,
+            config.toy_per_class,
+            dim=config.toy_dim,
+            spread=config.toy_spread,
+            seed=train_ss,
+        )
+        test = make_toy_dataset(
+            config.toy_classes,
+            max(50, config.toy_per_class // 2),
+            dim=config.toy_dim,
+            spread=config.toy_spread,
+            seed=test_ss,
+        )
+    except ValueError as exc:
+        raise UsageError(
+            f"toy_classes = {config.toy_classes} with toy_dim = {config.toy_dim}: {exc}"
+        ) from exc
     return train, test
 
 

@@ -90,6 +90,10 @@ class ClareModel:
             raise ValueError(f"input_dim must be >= 1, got {input_dim}")
         if len(enc_hidden) != 2 or len(dec_hidden) != 2:
             raise ValueError("encoder and decoder each take exactly two hidden widths")
+        if min(*enc_hidden, *dec_hidden) < 1:
+            raise ValueError(
+                f"hidden widths must be >= 1, got enc {tuple(enc_hidden)}, dec {tuple(dec_hidden)}"
+            )
         self.class_no = class_no
         self.d_z = d_z
         self.input_dim = input_dim

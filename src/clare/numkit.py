@@ -132,10 +132,11 @@ def linear_forward(w, b, x, out=None):
     """Affine map ``y[i, j] = sum_k x[i, k] * w[j, k] + b[j]``.
 
     ``w`` is stored output-major ``(out, in)``; the product runs on BLAS.
-    When ``out`` is given, ``y`` is written into it, with the same
-    arithmetic.
+    ``w`` may be a row-strided view, such as the image columns of a wider
+    weight, and is read in place rather than copied. When ``out`` is given,
+    ``y`` is written into it, with the same arithmetic.
     """
-    w, b, x = as_f64(w), as_f64(b), as_f64(x)
+    w, b, x = np.asarray(w, dtype=np.float64), as_f64(b), as_f64(x)
     _check_linear_shapes(w, b, x)
     if out is None:
         return x @ w.T + b

@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .dataio import LabeledDataset, subset_by_classes
 from .metrics import evaluate
 from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
-from .replay import DecoderSnapshot, ReplayBuffer, balance_counts, generate_replay, take_snapshot
+from .replay import DecoderSnapshot, balance_counts, generate_replay, take_snapshot
 
 TRACE_KEYS = ("total", "classification", "reconstruction", "kl")
 
@@ -88,8 +88,15 @@ def train_model(
     labels: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> dict[str, list[float]]:
     """Minimize the joint objective with shuffled minibatches.
+
+    ``rows`` is an optional row map: training then runs on
+    ``images[rows]``, ``labels[rows]`` without making that copy, because
+    each step gathers its batch through the map. Without it, every row
+    trains in stored order. Entries outside ``[0, len(images))`` raise
+    ``ValueError`` before the first step.
 
     Returns per-epoch means of each loss component. One optimizer lives for
     the whole call; a fresh one is created per increment because class
@@ -101,13 +108,23 @@ def train_model(
     """
     images = nk.as_f64(images)
     labels = np.asarray(labels, dtype=np.int64)
-    n = images.shape[0]
+    if labels.shape[0] != images.shape[0]:
+        raise ValueError(
+            f"images and labels differ in length: {images.shape[0]} images, "
+            f"{labels.shape[0]} labels"
+        )
+    rows = np.arange(images.shape[0]) if rows is None else np.asarray(rows)
+    # gather() clips out-of-range rows instead of failing, so check here.
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"row map must be 1-d integers, got {rows.dtype} of shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= images.shape[0]):
+        raise ValueError(
+            f"row map entries must lie in [0, {images.shape[0]}), "
+            f"got {int(rows.min())}..{int(rows.max())}"
+        )
+    n = rows.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    if labels.shape[0] != n:
-        raise ValueError(
-            f"images and labels differ in length: {n} images, {labels.shape[0]} labels"
-        )
     state = nk.OptimizerState(config.optimizer, config.lr)
     workspaces: dict[int, StepWorkspace] = {}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
@@ -119,7 +136,7 @@ def train_model(
             ws = workspaces.get(idx.shape[0])
             if ws is None:
                 ws = workspaces[idx.shape[0]] = StepWorkspace(model, idx.shape[0])
-            ws.gather(images, labels, idx)
+            ws.gather(images, labels, rows[idx])
             rng.standard_normal(out=ws.noise)
             try:
                 parts = forward_backward(model, ws, config.beta)
@@ -176,7 +193,6 @@ def run_increment(
 
     started = time.perf_counter()
 
-    buffer: ReplayBuffer | None = None
     if state.learned and config.replay:
         if state.snapshot is None:
             raise ValueError("state has learned classes but no decoder snapshot")
@@ -185,17 +201,21 @@ def run_increment(
             for orig, rows in new_group_data.class_index.items()
         }
         counts = balance_counts(list(range(len(state.learned))), new_counts)
-        buffer = generate_replay(state.snapshot, counts, replay_seed)
+        # One training array: replay decodes into its head, the new images
+        # are copied into its tail.
+        n_replay = sum(counts.values())
+        train_x = np.empty((n_replay + new_group_data.n, new_group_data.dim))
+        buffer = generate_replay(state.snapshot, counts, replay_seed, out=train_x[:n_replay])
+        train_x[n_replay:] = new_x
+        train_y = np.concatenate([buffer.labels, new_y])
         if on_replay is not None:
             on_replay(phase, replace(buffer, labels=np.asarray(state.learned)[buffer.labels]))
-
-    if buffer is not None and len(buffer):
-        merged_x = np.concatenate([buffer.images, new_x], axis=0)
-        merged_y = np.concatenate([buffer.labels, new_y], axis=0)
+        del buffer
     else:
-        merged_x, merged_y = new_x, new_y
-    order = train_rng.permutation(merged_x.shape[0])
-    merged_x, merged_y = merged_x[order], merged_y[order]
+        train_x, train_y = new_x, new_y
+    # The shuffle is a row map, not a copy; drawing it here keeps the
+    # training stream where it was.
+    order = train_rng.permutation(train_x.shape[0])
 
     if config.start == "warm" and state.model is not None:
         model = expand_classes(state.model, len(learned), init_rng)
@@ -210,7 +230,7 @@ def run_increment(
         )
 
     try:
-        trace = train_model(model, merged_x, merged_y, config, train_rng)
+        trace = train_model(model, train_x, train_y, config, train_rng, rows=order)
     except nk.NonFiniteError as err:
         raise nk.NonFiniteError(f"increment {phase}: {err}") from err
     snapshot = take_snapshot(model, increment=phase)
@@ -248,6 +268,10 @@ def run_experiment(
     config = config.resolved()
     state = IncrementState()
     for phase, group in enumerate(schedule.groups):
+        if config.start != "warm":
+            # A scratch start needs only the decoder snapshot; dropping the
+            # model keeps two models' parameters and gradients from coexisting.
+            state = replace(state, model=None)
         group_data = subset_by_classes(train_data, group)
         state = run_increment(
             state, group_data, test_data, config, _phase_seed(seed, phase), on_replay

@@ -5,9 +5,10 @@ snapshot turns latent prior draws plus one-hot class codes into synthetic
 images of every class learned so far, sized to match the incoming real
 data, so retraining sees a balanced mix and old classes survive.
 
-Generation allocates the result once and decodes each class's draws
-straight into its rows with one ``decode`` call; the decoder runs them in
-chunks (see ``model.decoder_forward``).
+Generation decodes each class's draws straight into its rows of one result
+array with one ``decode`` call; the decoder runs them in chunks (see
+``model.decoder_forward``). The caller may pass that array: an increment
+passes the head of its training array, so replay is never copied.
 """
 
 from __future__ import annotations
@@ -95,16 +96,20 @@ def balance_counts(
 
 
 def generate_replay(
-    snapshot: DecoderSnapshot, per_class_counts: Mapping[int, int], seed: int
+    snapshot: DecoderSnapshot,
+    per_class_counts: Mapping[int, int],
+    seed: int,
+    out: np.ndarray | None = None,
 ) -> ReplayBuffer:
     """Decode prior draws into a labeled buffer of synthetic images.
 
     Each class consumes its own generator stream keyed on ``(seed, class)``,
     so the samples produced for a class do not depend on which other classes
     were requested or on the mapping's iteration order. Classes are
-    assembled in sorted order. The whole request is checked before anything
-    is allocated; each class's draws are then decoded into its rows of the
-    one result array.
+    assembled in sorted order. The whole request, and the shape of ``out``
+    when given, is checked before anything is decoded; each class's draws
+    are then decoded into its rows of the one result array, which is
+    ``out`` (float64, ``(sum of counts, output_dim)``) or a new array.
     """
     classes = sorted(per_class_counts)
     for cls in classes:
@@ -116,7 +121,13 @@ def generate_replay(
         if count < 0:
             raise ValueError(f"count for class {cls} must be >= 0, got {count}")
     counts = [per_class_counts[cls] for cls in classes]
-    images = np.empty((sum(counts), snapshot.output_dim))
+    shape = (sum(counts), snapshot.output_dim)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ValueError(
+            f"replay output must be float64 of shape {shape}, "
+            f"got {out.dtype} of shape {out.shape}"
+        )
+    images = np.empty(shape) if out is None else out
     labels = np.repeat(np.array(classes, dtype=np.int64), counts)
     row = 0
     for cls, count in zip(classes, counts):

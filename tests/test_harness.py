@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from clare.config import ExperimentConfig, config_from_items
 from clare.dataio import parse_idx, write_idx
 from clare.harness import UsageError, read_config_file, run_cli
+from clare import harness
 from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
@@ -144,6 +145,19 @@ class TestConfigRoundTrip:
     def test_bad_replay_value_rejected(self):
         with pytest.raises(ValueError, match="replay"):
             config_from_items({"replay": "yes"})
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            (dict(enc_hidden=(0, 32)), "enc_hidden"),
+            (dict(dec_hidden=(16,)), "dec_hidden"),
+            (dict(dec_hidden=(16, 8, 4)), "dec_hidden"),
+            (dict(d_z=model_mod.MAX_LATENT_DIM + 1), "d_z"),
+        ],
+    )
+    def test_architecture_the_model_would_reject_fails_validation(self, kwargs, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            ExperimentConfig(**kwargs).validate()
 
 
 def _tiny_report(seeds=(5,)) -> ResultsReport:
@@ -484,9 +498,41 @@ class TestCli:
         assert run_cli(TOY_ARGS + ["--g", "0"]) == 2
         assert "g must be" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_one(self, capsys):
-        # 40 classes cannot sit on the corners of a 4-d cube; this surfaces
-        # during dataset construction, past argument validation.
-        code = run_cli(["--dataset", "toy", "--toy-classes", "40", "--toy-dim", "4"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_runtime_failure_exits_one(self, tmp_path, capsys):
+        # Valid settings that diverge at the second step: a failure of the
+        # run itself, not of its settings.
+        cfg = tmp_path / "sgd.cfg"
+        cfg.write_text("optimizer = sgd\n")
+        code = run_cli(TOY_ARGS + ["--config", str(cfg), "--lr", "1e308"])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, flags, key",
+        [
+            ("enc_hidden = 0,32\n", [], "enc_hidden"),
+            ("enc_hidden = 48\n", [], "enc_hidden"),
+            ("", ["--latent-dim", "300"], "d_z"),
+        ],
+    )
+    def test_bad_architecture_is_rejected_before_loading_data(
+        self, tmp_path, monkeypatch, capsys, lines, flags, key
+    ):
+        def no_loading(config):
+            raise AssertionError("data loaded before the settings were checked")
+
+        monkeypatch.setattr(harness, "load_datasets", no_loading)
+        cfg = tmp_path / "arch.cfg"
+        cfg.write_text(f"dataset = toy\nepochs = 1\n{lines}")
+        assert run_cli(["--config", str(cfg)] + flags) == 2
+        err = capsys.readouterr().err
+        where = f"{cfg}:3: " if lines else ""
+        assert err.startswith(f"error: {where}{key} "), err
+
+    def test_too_many_toy_classes_for_the_dimension_is_usage_error(self, capsys):
+        # 40 classes cannot sit on the corners of a 4-d cube.
+        code = run_cli(["--dataset", "toy", "--toy-classes", "40", "--toy-dim", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "toy_classes = 40" in err and "toy_dim = 4" in err, err

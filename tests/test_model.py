@@ -92,6 +92,8 @@ class TestConstruction:
             dict(class_no=2, d_z=257),
             dict(class_no=2, input_dim=0),
             dict(class_no=2, enc_hidden=(8,)),
+            dict(class_no=2, enc_hidden=(0, 7)),
+            dict(class_no=2, dec_hidden=(7, 0)),
         ],
     )
     def test_bad_dimensions_rejected(self, kwargs):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from clare import numkit as nk
 from clare import protocol
 from clare.config import ExperimentConfig
 from clare.dataio import LabeledDataset, make_toy_dataset, subset_by_classes
-from clare.model import ClareModel, StepWorkspace, forward_backward
+from clare.model import ClareModel, StepWorkspace, expand_classes, forward_backward
 from clare.protocol import (
     IncrementState,
     _phase_seed,
@@ -24,6 +26,7 @@ from clare.protocol import (
     run_joint_baseline,
     train_model,
 )
+from clare.replay import take_snapshot
 
 # Small enough to train in well under a second per increment.
 FAST = ExperimentConfig(
@@ -384,3 +387,106 @@ class TestRunExperiment:
         assert records[0].classes_seen == [0, 1]
         assert records[1].classes_seen == [0, 1, 2]
         assert set(records[1].per_class) == {0, 1, 2}
+
+
+class TestRowMap:
+    def _train(self, images, labels, rows=None):
+        model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
+                           dec_hidden=(10, 12), rng=np.random.default_rng(6))
+        trace = train_model(model, images, labels, replace(FAST, epochs=2),
+                            np.random.default_rng(7), rows=rows)
+        return trace, model.tape.flat_params
+
+    @pytest.mark.parametrize("take", [40, 25])
+    def test_row_map_trains_like_the_gathered_copy(self, take):
+        rng = np.random.default_rng(5)
+        images = rng.uniform(size=(40, 4))
+        labels = rng.integers(0, 3, size=40)
+        order = rng.permutation(40)[:take]
+        want_trace, want = self._train(images[order], labels[order])
+        got_trace, got = self._train(images, labels, rows=order)
+        assert got_trace == want_trace
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rows", [np.array([0, 40, 3]), np.array([-1, 2]), np.array([[0, 1]]), np.array([0.0, 1.0])]
+    )
+    def test_bad_row_map_rejected_before_the_first_step(self, rows):
+        # gather() clips row indices, so a row past the end would silently
+        # train on the last image.
+        model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
+                           dec_hidden=(10, 12), rng=np.random.default_rng(0))
+        before = model.tape.flat_params.copy()
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="row map"):
+            train_model(model, np.zeros((40, 4)), np.zeros(40, dtype=np.int64), FAST, rng,
+                        rows=rows)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(model.tape.flat_params, before)
+
+
+class TestIncrementMemory:
+    def test_peak_is_one_training_array_plus_model_state(self):
+        # 9 replayed classes x 300 rows plus 300 new rows, 784 wide, on a
+        # network small enough that the data dominates.
+        config = replace(FAST, epochs=1, enc_hidden=(8, 8), dec_hidden=(8, 8))
+        arch = dict(d_z=config.d_z, input_dim=784, enc_hidden=(8, 8), dec_hidden=(8, 8))
+        rng = np.random.default_rng(3)
+        old = ClareModel(class_no=9, rng=rng, **arch)
+        state = IncrementState(learned=list(range(9)), snapshot=take_snapshot(old, increment=0))
+        group = LabeledDataset(rng.uniform(size=(300, 784)), np.full(300, 9))
+        test = LabeledDataset(rng.uniform(size=(20, 784)), np.arange(20) % 10)
+        train_bytes = (9 * 300 + 300) * 784 * 8
+        # Parameters, gradients and Adam's two moments of the 10-class model.
+        state_bytes = 4 * ClareModel(class_no=10, **arch).tape.flat_params.nbytes
+        tracemalloc.start()
+        try:
+            run_increment(state, group, test, config, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.5 * train_bytes + state_bytes
+        assert peak < bound, (
+            f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB, "
+            f"training array {train_bytes / 2**20:.2f} MiB"
+        )
+
+
+class TestModelLifetime:
+    def test_scratch_start_drops_the_previous_model_before_training(self, data, monkeypatch):
+        train, test = data
+        refs, reachable = [], []
+
+        def spy(model, *args, **kwargs):
+            gc.collect()
+            reachable.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(model))
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "train_model", spy)
+        run_experiment(train, test, build_schedule([0, 1, 2], g=1), FAST, seed=61)
+        # Which earlier models were still reachable as each increment trained.
+        assert reachable == [[], [False], [False, False]]
+
+    def test_warm_start_expands_the_previous_model(self, data, monkeypatch):
+        train, test = data
+        trained, expanded = [], []
+
+        def train_spy(model, *args, **kwargs):
+            trained.append(model)
+            return train_model(model, *args, **kwargs)
+
+        def spy(model, new_class_no, rng):
+            expanded.append((model, new_class_no))
+            return expand_classes(model, new_class_no, rng)
+
+        monkeypatch.setattr(protocol, "train_model", train_spy)
+        monkeypatch.setattr(protocol, "expand_classes", spy)
+        config = replace(FAST, start="warm")
+        run_experiment(train, test, build_schedule([0, 1, 2], g=1), config, seed=61)
+        assert len(trained) == 3
+        # Each increment grows the model the one before it trained.
+        assert [(m is trained[k], n) for k, (m, n) in enumerate(expanded)] == [
+            (True, 2), (True, 3)
+        ]

@@ -286,6 +286,32 @@ class TestPreallocatedGeneration:
         with pytest.raises(ValueError):
             generate_replay(snap, counts, seed=0)
 
+    def test_out_receives_the_same_buffer_the_allocating_call_returns(self):
+        snap = wide_snapshot()
+        counts = {0: CHUNK + 3, 2: 5}
+        want = generate_replay(snap, counts, seed=9)
+        out = np.full((CHUNK + 8, snap.output_dim), np.nan)
+        buf = generate_replay(snap, counts, seed=9, out=out)
+        assert buf.images is out
+        assert np.array_equal(out, want.images)
+        assert np.array_equal(buf.labels, want.labels)
+
+    @pytest.mark.parametrize(
+        "rows, width, dtype",
+        [(7, 6, np.float64), (9, 6, np.float64), (8, 5, np.float64), (8, 6, np.float32)],
+    )
+    def test_wrong_out_is_rejected_before_decoding(self, rows, width, dtype, monkeypatch):
+        snap = take_snapshot(small_model(16), increment=0)
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before out was checked")
+
+        monkeypatch.setattr(DecoderSnapshot, "decode", no_decoding)
+        out = np.zeros((rows, width), dtype=dtype)
+        with pytest.raises(ValueError, match=r"float64 of shape \(8, 6\)"):
+            generate_replay(snap, {0: 5, 2: 3}, seed=0, out=out)
+        assert not out.any()
+
     def test_peak_memory_is_the_output_plus_one_chunk_of_buffers(self):
         snap = wide_snapshot(class_no=3)
         counts = {0: 2500, 1: 2500, 2: 2500}

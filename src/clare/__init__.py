@@ -7,6 +7,9 @@ replays the old ones, so the model can retrain on a balanced mix without
 storing past data.
 """
 
+# Set before the submodules load: ``report`` records it in every report.
+__version__ = "0.1.0"
+
 from .config import ExperimentConfig
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, parse_idx, write_idx
 from .metrics import average_over_tasks, evaluate
@@ -35,8 +38,6 @@ from .replay import (
     take_snapshot,
 )
 from .report import ResultsReport, read_report, write_report
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ClareModel",

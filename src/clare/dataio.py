@@ -203,7 +203,12 @@ def make_toy_dataset(
     labels = np.empty(n_classes * n_per_class, dtype=np.int64)
     for cls, center in enumerate(toy_centers(n_classes, dim)):
         rows = slice(cls * n_per_class, (cls + 1) * n_per_class)
-        images[rows] = center + spread * rng.standard_normal((n_per_class, dim))
+        # Drawn in place; per element the same IEEE operations as
+        # center + spread * normal, without block-sized temporaries.
+        block = images[rows]
+        rng.standard_normal(out=block)
+        block *= spread
+        block += center
         labels[rows] = cls
     np.clip(images, 0.0, 1.0, out=images)
     return LabeledDataset(images=images, labels=labels)

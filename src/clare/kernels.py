@@ -58,10 +58,6 @@ def sigmoid_fwd(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def sigmoid_bwd(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return g * y * (1.0 - y)
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)

@@ -8,7 +8,9 @@ cross-entropy plus a weighted KL pull toward the standard normal prior.
 ``forward_backward`` is the only implementation of that objective: one
 hand-written pass over the ``kernels`` losses that also writes every
 gradient. The model's own methods are inference only: the classifier pass
-and the decoder.
+and the decoder. Each layer's forward is written once, in ``encoder_layer1``,
+``encoder_trunk``, ``classifier_logits`` and ``decoder_logits``, and the
+training step and inference both run it.
 
 Classification never sees a class code: the classifier path runs the
 encoder with an all-zeros condition, at train time and test time alike, so
@@ -139,10 +141,8 @@ class ClareModel:
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         """Classifier logits from the zero-condition latent mean.
 
-        A zero condition adds nothing to encoder layer 1, so the pass reads
-        only the image columns of ``enc_w1`` and skips the log-variance
-        head, as the training step does. Rows run in chunks of
-        ``_CLASSIFY_ROWS``.
+        Runs ``encoder_layer1``, ``encoder_trunk`` and ``classifier_logits``,
+        as the training step does, over rows in chunks of ``_CLASSIFY_ROWS``.
         """
         x = nk.as_f64(x)
         self._check_input(x)
@@ -153,16 +153,12 @@ class ClareModel:
         h2 = np.empty((rows, self.enc_hidden[1]))
         mu = np.empty((rows, self.d_z))
         out = np.empty((n, self.class_no))
-        w1 = get("enc_w1")[:, : self.input_dim]
         for start in range(0, n, _CLASSIFY_ROWS):
             stop = min(start + _CLASSIFY_ROWS, n)
             k = stop - start
-            h = nk.linear_forward(w1, get("enc_b1"), x[start:stop], out=h1[:k])
-            kernels.relu_fwd(h, out=h)
-            h = nk.linear_forward(get("enc_w2"), get("enc_b2"), h, out=h2[:k])
-            kernels.relu_fwd(h, out=h)
-            m = nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h, out=mu[:k])
-            nk.linear_forward(get("cls_w"), get("cls_b"), m, out=out[start:stop])
+            encoder_layer1(get, self.input_dim, x[start:stop], h1[:k])
+            encoder_trunk(get, h1[:k], h2[:k], mu[:k])
+            classifier_logits(get, mu[:k], out[start:stop])
         return out
 
     def classify(self, x: np.ndarray) -> np.ndarray:
@@ -176,6 +172,40 @@ class ClareModel:
             raise ValueError(
                 f"input shape {x.shape} does not match input_dim={self.input_dim}"
             )
+
+
+def encoder_layer1(get, d: int, x, out) -> np.ndarray:
+    """Encoder layer 1 under a zero condition, before its ReLU, into ``out``.
+
+    ``x @ enc_w1[:, :d].T + enc_b1``: a zero condition adds nothing, so only
+    the ``d`` image columns of ``enc_w1`` are read, in place.
+    """
+    np.matmul(x, get("enc_w1")[:, :d].T, out=out)
+    out += get("enc_b1")
+    return out
+
+
+def encoder_trunk(get, h1, h2, mu) -> np.ndarray:
+    """The encoder from layer 1's pre-activation ``h1`` to the latent mean.
+
+    ReLU in place in ``h1``, layer 2 and its ReLU into ``h2``, then the mean
+    head into ``mu``; every buffer has the rows of ``h1``. The log-variance
+    head is not run: only the training step's one-hot pass needs it.
+    """
+    kernels.relu_fwd(h1, out=h1)
+    np.matmul(h1, get("enc_w2").T, out=h2)
+    h2 += get("enc_b2")
+    kernels.relu_fwd(h2, out=h2)
+    np.matmul(h2, get("enc_wmu").T, out=mu)
+    mu += get("enc_bmu")
+    return mu
+
+
+def classifier_logits(get, mu, out) -> np.ndarray:
+    """The classifier head ``mu @ cls_w.T + cls_b``, into ``out``."""
+    np.matmul(mu, get("cls_w").T, out=out)
+    out += get("cls_b")
+    return out
 
 
 def decoder_logits(get, d_z: int, z, c, cond, h1, h2, out) -> np.ndarray:
@@ -337,22 +367,14 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
 
     # Encoder layer 1: x @ Wx.T once for both passes. The one-hot condition
     # adds column W1[:, d + label], picked out by a (n, class_no) product.
-    w1 = p("enc_w1")
     cls1, vae1 = ws.h1[:n], ws.h1[n:]
-    np.matmul(x, w1[:, :d].T, out=cls1)
-    cls1 += p("enc_b1")
-    np.matmul(ws.one_hot, w1[:, d:].T, out=vae1)
+    encoder_layer1(p, d, x, cls1)
+    np.matmul(ws.one_hot, p("enc_w1")[:, d:].T, out=vae1)
     vae1 += cls1
-    kernels.relu_fwd(ws.h1, out=ws.h1)
-    np.matmul(cls1, p("enc_w2").T, out=ws.h2[:n])
-    np.matmul(vae1, p("enc_w2").T, out=ws.h2[n:])
-    ws.h2 += p("enc_b2")
-    kernels.relu_fwd(ws.h2, out=ws.h2)
     h2_cls, h2_vae = ws.h2[:n], ws.h2[n:]
     mu0, mu = ws.mu[:n], ws.mu[n:]
-    np.matmul(h2_cls, p("enc_wmu").T, out=mu0)
-    np.matmul(h2_vae, p("enc_wmu").T, out=mu)
-    ws.mu += p("enc_bmu")
+    encoder_trunk(p, cls1, h2_cls, mu0)
+    encoder_trunk(p, vae1, h2_vae, mu)
     # Log-variance head: VAE pass only; the classifier reads the mean.
     np.matmul(h2_vae, p("enc_wlv").T, out=ws.lv_raw)
     ws.lv_raw += p("enc_blv")
@@ -361,8 +383,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     np.less(ws.lv_raw, LOG_VAR_MAX, out=ws.below)
     ws.inside &= ws.below
 
-    np.matmul(mu0, p("cls_w").T, out=ws.logits)
-    ws.logits += p("cls_b")
+    classifier_logits(p, mu0, ws.logits)
     ce, dlogits = kernels.softmax_xent(ws.logits, labels)
 
     z = kernels.reparam_fwd(mu, ws.lv, ws.noise)

@@ -1,9 +1,9 @@
 """Parameter store, the linear layer and optimizers over float64 numpy arrays.
 
 ``ParamTape`` holds every named parameter and its gradient as views into
-two flat buffers. ``linear_forward`` is the classifier pass's affine map;
-``linear_backward`` writes a layer's weight and bias gradients for the
-hand-written training step in ``model`` straight into the tape's views.
+two flat buffers. ``linear_backward`` writes a layer's weight and bias
+gradients for the hand-written training step in ``model`` straight into the
+tape's views.
 Activations are called from ``kernels`` directly. There is no recorded
 graph; ``optimizer_step`` consumes the gradients the step assigned, in one
 pass over the flat buffers.
@@ -110,39 +110,6 @@ class ParamTape:
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
-
-
-def _require_2d(x: np.ndarray, what: str) -> None:
-    if x.ndim != 2:
-        raise ValueError(f"{what} must be 2-d, got shape {x.shape}")
-
-
-def _check_linear_shapes(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
-    _require_2d(w, "weight")
-    _require_2d(x, "input")
-    if b.ndim != 1:
-        raise ValueError(f"bias must be 1-d, got shape {b.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"input shape {x.shape} does not match weight shape {w.shape}")
-    if b.shape[0] != w.shape[0]:
-        raise ValueError(f"bias shape {b.shape} does not match weight shape {w.shape}")
-
-
-def linear_forward(w, b, x, out=None):
-    """Affine map ``y[i, j] = sum_k x[i, k] * w[j, k] + b[j]``.
-
-    ``w`` is stored output-major ``(out, in)``; the product runs on BLAS.
-    ``w`` may be a row-strided view, such as the image columns of a wider
-    weight, and is read in place rather than copied. When ``out`` is given,
-    ``y`` is written into it, with the same arithmetic.
-    """
-    w, b, x = np.asarray(w, dtype=np.float64), as_f64(b), as_f64(x)
-    _check_linear_shapes(w, b, x)
-    if out is None:
-        return x @ w.T + b
-    np.matmul(x, w.T, out=out)
-    out += b
-    return out
 
 
 def linear_backward(g, x, w, dw, db, dx=None) -> None:

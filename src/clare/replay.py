@@ -14,7 +14,7 @@ passes the head of its training array, so replay is never copied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -29,16 +29,13 @@ _DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
 class DecoderSnapshot:
     """Frozen copy of the decoder half of a model.
 
-    Holds deep copies, so later training never leaks into it. ``trained``
-    records whether the source model had been fit when the snapshot was
-    taken; an untrained snapshot is legal but worth flagging.
+    Holds deep copies, so later training never leaks into it.
     """
 
     params: dict[str, np.ndarray]
     class_no: int
     d_z: int
     increment: int
-    trained: bool = True
 
     @property
     def output_dim(self) -> int:
@@ -56,24 +53,22 @@ class DecoderSnapshot:
 
 @dataclass
 class ReplayBuffer:
-    """Synthetic images with their class labels and where they came from."""
+    """Synthetic images with their class labels."""
 
     images: np.ndarray
     labels: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
 
-def take_snapshot(model: ClareModel, increment: int, trained: bool = True) -> DecoderSnapshot:
+def take_snapshot(model: ClareModel, increment: int) -> DecoderSnapshot:
     """Deep-copy the decoder parameters of ``model``."""
     return DecoderSnapshot(
         params={name: model.tape.param(name).copy() for name in _DECODER_PARAMS},
         class_no=model.class_no,
         d_z=model.d_z,
         increment=increment,
-        trained=trained,
     )
 
 
@@ -136,12 +131,7 @@ def generate_replay(
         c = one_hot(np.full(count, cls), snapshot.class_no)
         snapshot.decode(z, c, out=images[row : row + count])
         row += count
-    return ReplayBuffer(
-        images=images,
-        labels=labels,
-        provenance={"increment": snapshot.increment, "seed": seed,
-                    "trained": snapshot.trained},
-    )
+    return ReplayBuffer(images=images, labels=labels)
 
 
 def save_snapshot(snapshot: DecoderSnapshot, path: str) -> None:
@@ -149,8 +139,8 @@ def save_snapshot(snapshot: DecoderSnapshot, path: str) -> None:
     model_mod.write_container(path, snapshot.class_no, snapshot.d_z, snapshot.params)
 
 
-def load_snapshot(path: str, increment: int = -1, trained: bool = True) -> DecoderSnapshot:
-    """Read decoder tensors back; provenance is runtime metadata, not stored.
+def load_snapshot(path: str, increment: int = -1) -> DecoderSnapshot:
+    """Read decoder tensors back; ``increment`` is not stored, so it is passed.
 
     Each tensor's shape is checked against the header's ``class_no`` and
     ``d_z`` and against its neighbouring layers; a mismatch raises
@@ -181,5 +171,4 @@ def load_snapshot(path: str, increment: int = -1, trained: bool = True) -> Decod
         class_no=class_no,
         d_z=d_z,
         increment=increment,
-        trained=trained,
     )

@@ -10,21 +10,16 @@ recomputes and cross-checks on load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from importlib import metadata
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .config import ExperimentConfig, config_from_items
 from .metrics import average_over_tasks
 from .protocol import TRACE_KEYS, MetricsRecord
 
 FORMAT_HEADER = "# clare-report v1"
-
-try:
-    ARTIFACT_VERSION = metadata.version("clare")
-except metadata.PackageNotFoundError:  # pragma: no cover - not installed
-    ARTIFACT_VERSION = "0.0.0"
 
 
 class ReportFormatError(ValueError):
@@ -43,7 +38,7 @@ class ResultsReport:
     config: ExperimentConfig
     runs: list[RunResult]
     total_seconds: float = 0.0
-    artifact_version: str = ARTIFACT_VERSION
+    artifact_version: str = __version__
     note: str = "accuracies are deterministic last-epoch values"
 
 
@@ -185,7 +180,9 @@ def parse_report(text: str) -> ResultsReport:
         inc = 0
         while f"{prefix}.record.{inc}.increment" in kv:
             rp = f"{prefix}.record.{inc}"
-            take(f"{rp}.increment")
+            key = f"{rp}.increment"
+            if take(key, int) != inc:
+                raise ReportFormatError(f"report key {key!r} is not {inc}")
             classes = take(f"{rp}.classes", _ints)
             overall = take(f"{rp}.overall", float)
             per_class = take(f"{rp}.per_class", _per_class)

@@ -9,18 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def linear_oracle(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Triple-loop affine map; no BLAS, no vectorization."""
-    out = np.zeros((x.shape[0], w.shape[0]))
-    for i in range(x.shape[0]):
-        for j in range(w.shape[0]):
-            acc = 0.0
-            for k in range(x.shape[1]):
-                acc += x[i, k] * w[j, k]
-            out[i, j] = acc + b[j]
-    return out
-
-
 def finite_difference(f, tape, names=None, h: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of scalar ``f()`` w.r.t. tape parameters.
 
@@ -97,6 +85,11 @@ def bce_logits_oracle(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
     ex = np.exp(logits[~pos])
     s[~pos] = ex / (1.0 + ex)
     return float(per_elem.sum() / n), (s - targets) / n
+
+
+def sigmoid_bwd(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient through ``y = sigmoid(x)`` from ``g = dL/dy``, given ``y``."""
+    return g * y * (1.0 - y)
 
 
 def sigmoid_oracle(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import clare
 from clare.config import ExperimentConfig, config_from_items
 from clare.dataio import parse_idx, write_idx
 from clare.harness import UsageError, read_config_file, run_cli
@@ -181,6 +183,14 @@ def _tiny_report(seeds=(5,)) -> ResultsReport:
     return ResultsReport(mode="clare", config=config, runs=runs, total_seconds=1.5)
 
 
+def _with_value(key: str, value: str) -> str:
+    """The tiny report's text with ``key`` set to ``value``."""
+    lines = render_report(_tiny_report()).splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    assert f"{key} = {value}" in lines
+    return "\n".join(lines) + "\n"
+
+
 class TestReportRoundTrip:
     def test_render_parse_render_is_identity(self):
         report = _tiny_report(seeds=(5, 6))
@@ -227,15 +237,27 @@ class TestReportRoundTrip:
             ("run.0.record.1.classes", "0,a"),
             ("run.0.record.0.trace.total", "1.0,z"),
             ("total_seconds", "q"),
+            ("run.0.record.1.increment", "banana"),
         ],
     )
     def test_malformed_value_names_its_key(self, key, value):
-        lines = render_report(_tiny_report()).splitlines()
-        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
-        assert f"{key} = {value}" in lines
         with pytest.raises(ReportFormatError,
                            match=re.escape(f"report key {key!r} has bad value {value!r}")):
-            parse_report("\n".join(lines) + "\n")
+            parse_report(_with_value(key, value))
+
+    def test_record_numbered_out_of_place_names_its_key(self):
+        key = "run.0.record.1.increment"
+        with pytest.raises(ReportFormatError, match=re.escape(f"report key {key!r} is not 1")):
+            parse_report(_with_value(key, "2"))
+
+    def test_artifact_version_is_the_package_version(self):
+        text = render_report(_tiny_report())
+        assert f"artifact.version = {clare.__version__}" in text.splitlines()
+        assert parse_report(text).artifact_version == clare.__version__
+        # No tomllib before Python 3.11, so the line is read with a regex.
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert declared is not None and declared.group(1) == clare.__version__
 
     def test_duplicate_keys_rejected(self):
         text = render_report(_tiny_report())

@@ -174,6 +174,19 @@ class TestForward:
         assert m.classify(np.zeros((0, 6))).shape == (0, 3)
         assert m.decode(np.zeros((0, 4)), np.zeros((0, 3))).shape == (0, 6)
 
+    def test_class_logits_equal_the_training_step_logits(self):
+        # Training and inference run the same encoder functions, so on a
+        # training batch the classifier pass reproduces the step's logits
+        # bit for bit, non-zero biases included.
+        rng = np.random.default_rng(8)
+        m = ClareModel(class_no=10, rng=rng)
+        for name in ("enc_b1", "enc_b2", "enc_bmu", "cls_b"):
+            m.tape.param(name)[...] = rng.uniform(-0.5, 0.5, size=m.tape.param(name).shape)
+        x = rng.uniform(size=(128, 784))
+        ws = filled_workspace(m, x, rng.integers(0, 10, size=128), rng.standard_normal((128, 64)))
+        forward_backward(m, ws)
+        assert np.array_equal(m.class_logits(x), ws.logits)
+
     def test_class_logits_match_the_concatenated_encoder_at_digit_shape(self):
         m = ClareModel(class_no=10, rng=np.random.default_rng(6))
         x = np.random.default_rng(7).uniform(size=(300, 784))

@@ -15,7 +15,7 @@ import clare.numkit as nk
 from clare import kernels
 from clare.model import ClareModel
 from conftest import step_on
-from oracles import adam_oracle, finite_difference, linear_oracle
+from oracles import adam_oracle, finite_difference, sigmoid_bwd
 
 FD_TOL = 1e-5
 
@@ -23,33 +23,6 @@ FD_TOL = 1e-5
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
     denom = max(float(np.max(np.abs(want))), 1.0)
     return float(np.max(np.abs(got - want))) / denom
-
-
-class TestLinearForward:
-    def test_hand_example(self):
-        w = np.array([[1.0, 1.0], [1.0, -1.0]])
-        b = np.array([0.5, 0.0])
-        x = np.array([[2.0, 3.0]])
-        assert_allclose(nk.linear_forward(w, b, x), [[5.5, -1.0]], rtol=0, atol=0)
-
-    def test_identity_passthrough(self):
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        y = nk.linear_forward(np.eye(3), np.zeros(3), x)
-        assert_allclose(y, x, rtol=0, atol=0)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        for n, d_in, d_out in [(1, 1, 1), (3, 5, 2), (8, 4, 9)]:
-            w = rng.standard_normal((d_out, d_in))
-            b = rng.standard_normal(d_out)
-            x = rng.standard_normal((n, d_in))
-            assert_allclose(nk.linear_forward(w, b, x), linear_oracle(w, b, x), rtol=1e-13)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            nk.linear_forward(np.ones((2, 3)), np.ones(2), np.ones((4, 5)))
-        with pytest.raises(ValueError):
-            nk.linear_forward(np.ones((2, 3)), np.ones(4), np.ones((4, 3)))
 
 
 MINI = dict(class_no=2, d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
@@ -93,10 +66,10 @@ class TestGradients:
         x = rng.standard_normal((5, 4))
 
         def loss():
-            pre = nk.linear_forward(tape.param("w"), tape.param("b"), x)
+            pre = x @ tape.param("w").T + tape.param("b")
             return float(np.mean(kernels.relu_fwd(pre)))
 
-        pre = nk.linear_forward(tape.param("w"), tape.param("b"), x)
+        pre = x @ tape.param("w").T + tape.param("b")
         # The training step's ReLU mask rule: gradient passes where pre > 0.
         g = np.where(pre > 0, 1.0 / pre.size, 0.0)
         self._check(tape, loss, self._linear_grads(tape, g, x))
@@ -109,7 +82,7 @@ class TestGradients:
             return float(np.sum(kernels.sigmoid_fwd(tape.param("p"))))
 
         y = kernels.sigmoid_fwd(tape.param("p"))
-        self._check(tape, loss, {"p": kernels.sigmoid_bwd(np.ones_like(y), y)})
+        self._check(tape, loss, {"p": sigmoid_bwd(np.ones_like(y), y)})
 
     def test_concat_columns_routes_both_sides(self):
         # The step never concatenates [input, one-hot]: it adds the condition

@@ -144,11 +144,6 @@ class TestGenerateReplay:
         # Classes come out sorted, so slices are contiguous.
         assert (np.diff(buf.labels) >= 0).all()
 
-    def test_provenance(self):
-        snap = take_snapshot(small_model(6), increment=4, trained=True)
-        buf = generate_replay(snap, {0: 3}, seed=11)
-        assert buf.provenance == {"increment": 4, "seed": 11, "trained": True}
-
     def test_deterministic_per_seed(self):
         snap = take_snapshot(small_model(7), increment=0)
         a = generate_replay(snap, {0: 30, 1: 20}, seed=42)

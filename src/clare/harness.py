@@ -27,7 +27,6 @@ from .config import (
     parse_field,
 )
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, write_idx
-from .metrics import average_over_tasks, evaluate  # re-exported surface
 from .protocol import (
     MetricsRecord,
     build_schedule,
@@ -35,17 +34,13 @@ from .protocol import (
     run_finetune_baseline,
     run_joint_baseline,
 )
-from .report import ResultsReport, RunResult, write_csv, write_report
+from .report import MODES, ResultsReport, RunResult, write_csv, write_report
 
 __all__ = [
     "ExperimentConfig",
-    "average_over_tasks",
-    "evaluate",
     "main",
     "run_cli",
 ]
-
-MODES = ("clare", "joint", "finetune")
 
 
 class UsageError(ValueError):

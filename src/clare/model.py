@@ -106,6 +106,10 @@ class ClareModel:
     def _build(self, rng: np.random.Generator | None) -> None:
         h1, h2 = self.enc_hidden
         g1, g2 = self.dec_hidden
+        # Every class-indexed axis ends in its class block: the condition
+        # columns of enc_w1 and dec_w1, the rows of cls_w and cls_b. So a
+        # model with fewer classes is the leading corner of each tensor,
+        # which is all ``expand_classes`` relies on.
         shapes = [
             ("enc_w1", (h1, self.input_dim + self.class_no)),
             ("enc_b1", (h1,)),
@@ -442,9 +446,11 @@ def expand_classes(
 ) -> ClareModel:
     """Widen every class-indexed parameter block to ``new_class_no``.
 
-    Pre-existing slices are copied verbatim, so old-class logits and
-    old-class reconstructions are bit-identical as long as the new one-hot
-    positions stay zero. Newly added slices are freshly initialized.
+    Each old tensor is copied verbatim into the leading corner of its grown
+    counterpart (``_build`` puts every class block last), so old-class
+    logits and old-class reconstructions are bit-identical as long as the
+    new one-hot positions stay zero. Newly added slices are freshly
+    initialized.
     """
     if new_class_no <= model.class_no:
         raise ValueError(
@@ -458,17 +464,9 @@ def expand_classes(
         dec_hidden=model.dec_hidden,
         rng=rng,
     )
-    old = model.class_no
-    p, q = model.tape.param, grown.tape.param
-    # Condition columns sit after the image block in enc_w1 and after the
-    # latent block in dec_w1; class rows lead in cls_w / cls_b.
-    q("enc_w1")[:, : model.input_dim + old] = p("enc_w1")
-    q("dec_w1")[:, : model.d_z + old] = p("dec_w1")
-    q("cls_w")[:old, :] = p("cls_w")
-    q("cls_b")[:old] = p("cls_b")
     for name in model.tape.names():
-        if name not in ("enc_w1", "dec_w1", "cls_w", "cls_b"):
-            q(name)[...] = p(name)
+        old = model.tape.param(name)
+        grown.tape.param(name)[tuple(slice(0, k) for k in old.shape)] = old
     return grown
 
 
@@ -565,11 +563,9 @@ def load_model(path: str) -> ClareModel:
     A missing, unknown or misshapen tensor raises ``ValueError`` naming it.
     """
     class_no, d_z, params = read_container(path)
-    required = (
-        "enc_w1", "enc_w2", "dec_w1", "dec_w2", "dec_w3",
-        "enc_wmu", "enc_wlv", "cls_w",
-    )
-    for name in required:
+    # The architecture is read from these; every other tensor is checked
+    # against the model they build.
+    for name in ("enc_w1", "enc_w2", "dec_w1", "dec_w2"):
         if name not in params:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
         if params[name].ndim != 2:

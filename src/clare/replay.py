@@ -19,10 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import model as model_mod
 from .model import ClareModel, decoder_forward, one_hot
-
-_DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_w2", "dec_b2", "dec_w3", "dec_b3")
 
 
 @dataclass
@@ -63,9 +60,17 @@ class ReplayBuffer:
 
 
 def take_snapshot(model: ClareModel, increment: int) -> DecoderSnapshot:
-    """Deep-copy the decoder parameters of ``model``."""
+    """Deep-copy the decoder parameters (``dec_*``) of ``model``, in tape order.
+
+    The model's checkpoint holds the same tensors, so a snapshot is
+    rebuilt from disk with ``take_snapshot(load_model(path), increment)``.
+    """
     return DecoderSnapshot(
-        params={name: model.tape.param(name).copy() for name in _DECODER_PARAMS},
+        params={
+            name: model.tape.param(name).copy()
+            for name in model.tape.names()
+            if name.startswith("dec_")
+        },
         class_no=model.class_no,
         d_z=model.d_z,
         increment=increment,
@@ -132,43 +137,3 @@ def generate_replay(
         snapshot.decode(z, c, out=images[row : row + count])
         row += count
     return ReplayBuffer(images=images, labels=labels)
-
-
-def save_snapshot(snapshot: DecoderSnapshot, path: str) -> None:
-    """Persist decoder tensors in the model checkpoint container."""
-    model_mod.write_container(path, snapshot.class_no, snapshot.d_z, snapshot.params)
-
-
-def load_snapshot(path: str, increment: int = -1) -> DecoderSnapshot:
-    """Read decoder tensors back; ``increment`` is not stored, so it is passed.
-
-    Each tensor's shape is checked against the header's ``class_no`` and
-    ``d_z`` and against its neighbouring layers; a mismatch raises
-    ``ValueError`` naming the tensor and both shapes.
-    """
-    class_no, d_z, params = model_mod.read_container(path)
-    for name in _DECODER_PARAMS:
-        if name not in params:
-            raise ValueError(f"snapshot file is missing tensor {name!r}")
-    # Layer 1 reads [z, one-hot]; each later layer reads the one before it.
-    width, source = d_z + class_no, f"d_z {d_z} + class_no {class_no}"
-    for w_name, b_name in zip(_DECODER_PARAMS[::2], _DECODER_PARAMS[1::2]):
-        w, b = params[w_name], params[b_name]
-        rows = w.shape[0] if w.ndim else 0
-        if w.shape != (rows, width):
-            raise ValueError(
-                f"snapshot tensor {w_name!r} has shape {w.shape}, "
-                f"expected {(rows, width)} from {source}"
-            )
-        if b.shape != (rows,):
-            raise ValueError(
-                f"snapshot tensor {b_name!r} has shape {b.shape}, "
-                f"expected {(rows,)} from the rows of {w_name!r}"
-            )
-        width, source = rows, f"the rows of {w_name!r}"
-    return DecoderSnapshot(
-        params={name: params[name] for name in _DECODER_PARAMS},
-        class_no=class_no,
-        d_z=d_z,
-        increment=increment,
-    )

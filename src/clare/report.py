@@ -21,6 +21,8 @@ from .protocol import TRACE_KEYS, MetricsRecord
 
 FORMAT_HEADER = "# clare-report v1"
 
+MODES = ("clare", "joint", "finetune")
+
 
 class ReportFormatError(ValueError):
     """The text does not parse or validate as a report."""
@@ -119,6 +121,20 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+def _mode(text: str) -> str:
+    if text not in MODES:
+        raise ValueError(f"expected one of {', '.join(MODES)}")
+    return text
+
+
+def _seeds(text: str) -> list[int]:
+    """The seeds line as ``--seeds`` accepts it: at least one, none repeated."""
+    seeds = _ints(text)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("repeats a seed")
+    return seeds
+
+
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -159,7 +175,7 @@ def parse_report(text: str) -> ResultsReport:
         except ValueError as exc:
             raise ReportFormatError(f"report key {key!r} has bad value {value!r}: {exc}") from None
 
-    mode = take("mode")
+    mode = take("mode", _mode)
     version = take("artifact.version")
     note = take("note")
     config_items = {}
@@ -170,7 +186,7 @@ def parse_report(text: str) -> ResultsReport:
     except ValueError as exc:
         raise ReportFormatError(f"bad config echo: {exc}") from exc
 
-    seeds = take("seeds", lambda text: _ints(text) if text else [])
+    seeds = take("seeds", _seeds)
     runs = []
     for r, seed in enumerate(seeds):
         prefix = f"run.{r}"

@@ -238,6 +238,9 @@ class TestReportRoundTrip:
             ("run.0.record.0.trace.total", "1.0,z"),
             ("total_seconds", "q"),
             ("run.0.record.1.increment", "banana"),
+            ("seeds", ""),
+            ("seeds", "5,5"),
+            ("mode", "banana"),
         ],
     )
     def test_malformed_value_names_its_key(self, key, value):

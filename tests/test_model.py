@@ -433,17 +433,17 @@ class TestExpansion:
         twice = expand_classes(expand_classes(base, 3, np.random.default_rng(1)), 5,
                                np.random.default_rng(2))
         once = expand_classes(base, 5, np.random.default_rng(3))
-        d_in = base.input_dim + base.class_no
-        for a in (twice, once):
-            assert np.array_equal(a.tape.param("enc_w1")[:, :d_in], base.tape.param("enc_w1"))
-            assert np.array_equal(
-                a.tape.param("dec_w1")[:, : base.d_z + base.class_no],
-                base.tape.param("dec_w1"),
-            )
-            assert np.array_equal(a.tape.param("cls_w")[:2], base.tape.param("cls_w"))
-            assert np.array_equal(a.tape.param("cls_b")[:2], base.tape.param("cls_b"))
-            assert np.array_equal(a.tape.param("enc_w2"), base.tape.param("enc_w2"))
-            assert np.array_equal(a.tape.param("dec_w3"), base.tape.param("dec_w3"))
+        fresh = ClareModel(rng=np.random.default_rng(3), **{**MINI, "class_no": 5})
+        for name in base.tape.names():
+            old = base.tape.param(name)
+            corner = tuple(slice(0, k) for k in old.shape)
+            for grown in (twice, once):
+                assert np.array_equal(grown.tape.param(name)[corner], old), name
+            # Outside the corner, `once` holds the slices a fresh model draws.
+            outside = np.ones(fresh.tape.param(name).shape, dtype=bool)
+            outside[corner] = False
+            assert np.array_equal(once.tape.param(name)[outside],
+                                  fresh.tape.param(name)[outside]), name
 
     def test_decode_for_existing_classes_survives_growth(self):
         m5 = ClareModel(class_no=5, d_z=3, input_dim=12, enc_hidden=(10, 9),
@@ -514,6 +514,18 @@ class TestCheckpoint:
         write_container(path, m.class_no, m.d_z, params)
         with pytest.raises(ValueError, match="tensor 'enc_w1' must be 2-d"):
             load_model(path)
+
+    def test_misshapen_tensor_outside_the_architecture_is_named(self, tmp_path):
+        # The architecture is read from the encoder and decoder layer 1 and 2
+        # weights; every other tensor is checked against the model they build.
+        m = mini_model()
+        for name in ("cls_w", "enc_wlv", "dec_w3", "dec_b1"):
+            params = {n: m.tape.param(n) for n in m.tape.names()}
+            params[name] = params[name][:-1]
+            path = str(tmp_path / f"{name}.clre")
+            write_container(path, m.class_no, m.d_z, params)
+            with pytest.raises(ValueError, match=f"shape mismatch for {name!r}"):
+                load_model(path)
 
     def test_unknown_tensor_is_named(self, tmp_path):
         m = mini_model()

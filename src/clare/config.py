@@ -80,7 +80,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved(self) -> "ExperimentConfig":
-        """Copy with dataset-dependent defaults filled in."""
+        """Checked copy with dataset defaults and ``$CLARE_DATA_DIR`` filled in.
+
+        The only reader of that variable; resolving twice changes nothing.
+        """
         out = replace(self)
         if out.epochs is None:
             out.epochs = 15 if out.dataset == "mnist" else 30
@@ -115,11 +118,27 @@ CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_items(items: dict[str, str]) -> ExperimentConfig:
-    """Build a config from ``key = value`` strings; inverse of ``to_items``."""
-    kwargs = {}
-    for key, raw in items.items():
-        kwargs[key] = parse_field(key, raw)
-    return ExperimentConfig(**kwargs)
+    """Build and validate a config from ``key = value`` strings.
+
+    The inverse of ``to_items``, and the one reader of settings: flags,
+    config-file lines and a report's config echo all come through here.
+    """
+    config = ExperimentConfig(**{key: parse_field(key, raw) for key, raw in items.items()})
+    config.validate()
+    return config
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Comma-separated seeds ``>= 0``, none repeated, as ``--seeds`` takes them."""
+    try:
+        seeds = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"needs comma-separated integers, got {text!r}") from None
+    if min(seeds) < 0:
+        raise ValueError(f"must be >= 0, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeats a seed: {text!r}")
+    return seeds
 
 
 def parse_field(name: str, raw: str):

@@ -16,15 +16,16 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import (
+    CONFIG_KEYS,
     ENV_DATA_DIR,
     ExperimentConfig,
     config_from_items,
-    parse_field,
+    parse_seeds,
 )
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, write_idx
 from .protocol import (
@@ -48,23 +49,24 @@ class UsageError(ValueError):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags whose dest is a config key stay strings; ``merge_config`` parses them."""
     parser = argparse.ArgumentParser(
         prog="clare",
         description="Class-incremental learning with generative replay.",
     )
     parser.add_argument("--mode", choices=MODES, default="clare")
-    parser.add_argument("--dataset", choices=("mnist", "toy"), default=None)
-    parser.add_argument("--data-dir", default=None,
+    parser.add_argument("--dataset", metavar="{mnist,toy}")
+    parser.add_argument("--data-dir",
                         help=f"directory with the four IDX files (default: ${ENV_DATA_DIR})")
-    parser.add_argument("--g", type=int, default=None, help="classes per increment")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch", type=int, default=None, dest="batch_size")
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--latent-dim", type=int, default=None, dest="d_z")
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--replay", choices=("on", "off"), default=None)
-    parser.add_argument("--start", choices=("scratch", "warm"), default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--g", help="classes per increment")
+    parser.add_argument("--epochs")
+    parser.add_argument("--batch", dest="batch_size")
+    parser.add_argument("--lr")
+    parser.add_argument("--latent-dim", dest="d_z")
+    parser.add_argument("--beta")
+    parser.add_argument("--replay", metavar="{on,off}")
+    parser.add_argument("--start", metavar="{scratch,warm}")
+    parser.add_argument("--seed")
     parser.add_argument("--seeds", default=None,
                         help="comma-separated seeds; runs once per seed")
     parser.add_argument("--out", default=None, dest="out_path",
@@ -75,19 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for per-increment replay buffers as IDX files")
     parser.add_argument("--config", default=None,
                         help="key = value file with defaults; flags override it")
-    parser.add_argument("--toy-classes", type=int, default=None, dest="toy_classes")
-    parser.add_argument("--toy-per-class", type=int, default=None, dest="toy_per_class")
-    parser.add_argument("--toy-dim", type=int, default=None, dest="toy_dim")
-    parser.add_argument("--toy-spread", type=float, default=None, dest="toy_spread")
+    parser.add_argument("--toy-classes", dest="toy_classes")
+    parser.add_argument("--toy-per-class", dest="toy_per_class")
+    parser.add_argument("--toy-dim", dest="toy_dim")
+    parser.add_argument("--toy-spread", dest="toy_spread")
     return parser
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; blanks and ``#`` comments are skipped.
+    """Read ``key = value`` lines; blanks and ``#`` comments are skipped.
 
-    Each value is parsed and validated here, with the other fields at their
-    defaults, so an unknown key or a bad value is rejected naming the file
-    and line; a key given twice is rejected with both lines.
+    Each value is checked here, with the other fields at their defaults, so
+    an unknown key or a bad value is rejected naming the file and line; a
+    key given twice is rejected with both lines. Values come back as text.
     """
     items: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -105,7 +107,7 @@ def read_config_file(path: str) -> dict[str, str]:
                         f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
                     )
                 try:
-                    replace(ExperimentConfig(), **{key: parse_field(key, value)}).validate()
+                    config_from_items({key: value})
                 except ValueError as exc:
                     raise UsageError(f"{path}:{n}: {exc}") from None
                 items[key], lines[key] = value, n
@@ -116,56 +118,25 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def merge_config(args: argparse.Namespace) -> ExperimentConfig:
     """Layer the effective config: defaults, then config file, then flags."""
-    if args.config:
-        try:
-            config = config_from_items(read_config_file(args.config))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        config = ExperimentConfig()
-    overrides = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if args.replay is not None:
-        overrides["replay"] = args.replay == "on"
+    items = read_config_file(args.config) if args.config else {}
+    items.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
     try:
-        config = replace(config, **overrides)
-        config.validate()
+        return config_from_items(items)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
-
-
-def _parse_seeds(args: argparse.Namespace, config: ExperimentConfig) -> list[int]:
-    if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad --seeds value {args.seeds!r}") from exc
-        if not seeds:
-            raise UsageError("--seeds names no seeds")
-        if min(seeds) < 0:
-            raise UsageError(f"--seeds must be >= 0, got {min(seeds)}")
-        if len(set(seeds)) != len(seeds):
-            raise UsageError(f"--seeds repeats a seed: {args.seeds!r}")
-        return seeds
-    return [config.seed]
 
 
 def load_datasets(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Materialize the train/test pair the config describes."""
+    """Materialize the train/test pair a resolved config describes."""
     if config.dataset == "mnist":
-        data_dir = config.data_dir or os.environ.get(ENV_DATA_DIR, "")
-        if not data_dir:
+        if not config.data_dir:
             raise UsageError(
                 f"mnist needs --data-dir or ${ENV_DATA_DIR} pointing at the IDX files"
             )
-        if not os.path.isdir(data_dir):
-            raise UsageError(f"data directory does not exist: {data_dir}")
+        if not os.path.isdir(config.data_dir):
+            raise UsageError(f"data directory does not exist: {config.data_dir}")
         try:
-            return load_mnist(data_dir)
+            return load_mnist(config.data_dir)
         except FileNotFoundError as exc:
             raise UsageError(str(exc)) from exc
     train_ss, test_ss = np.random.SeedSequence([config.seed, 0xD474]).spawn(2)
@@ -253,7 +224,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = merge_config(args)
-        seeds = _parse_seeds(args, config)
+        try:
+            seeds = [config.seed] if args.seeds is None else parse_seeds(args.seeds)
+        except ValueError as exc:
+            raise UsageError(f"--seeds {exc}") from None
         if args.mode == "clare" and not config.replay:
             print("warning: replay is off; this is the forgetting ablation",
                   file=sys.stderr)

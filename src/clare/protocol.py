@@ -172,8 +172,7 @@ def run_increment(
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
-    if config.epochs is None or config.enc_hidden is None or config.dec_hidden is None:
-        config = config.resolved()
+    config = config.resolved()
     new_originals = sorted(new_group_data.class_index)
     overlap = set(new_originals) & set(state.learned)
     if overlap:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_from_items
+from .config import ExperimentConfig, config_from_items, parse_seeds
 from .metrics import average_over_tasks
 from .protocol import TRACE_KEYS, MetricsRecord
 
@@ -117,8 +117,12 @@ def write_report(report: ResultsReport, path: str) -> None:
         fh.write(render_report(report))
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",")]
+def _classes(text: str) -> list[int]:
+    """A record's classes, strictly ascending as the writer sorts them."""
+    classes = [int(v) for v in text.split(",")]
+    if any(a >= b for a, b in zip(classes, classes[1:])):
+        raise ValueError("classes must be strictly ascending")
+    return classes
 
 
 def _mode(text: str) -> str:
@@ -127,21 +131,17 @@ def _mode(text: str) -> str:
     return text
 
 
-def _seeds(text: str) -> list[int]:
-    """The seeds line as ``--seeds`` accepts it: at least one, none repeated."""
-    seeds = _ints(text)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("repeats a seed")
-    return seeds
-
-
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _per_class(text: str) -> dict[int, float]:
-    pairs = (pair.split(":") for pair in text.split(","))
-    return {int(cls): float(acc) for cls, acc in pairs}
+def _per_class(text: str, classes: list[int]) -> dict[int, float]:
+    """``cls:acc`` pairs naming exactly the record's classes, in their order."""
+    pairs = [pair.split(":") for pair in text.split(",")]
+    named = [int(cls) for cls, _ in pairs]
+    if named != classes:
+        raise ValueError(f"names classes {named}, the classes line has {classes}")
+    return {cls: float(acc) for cls, (_, acc) in zip(named, pairs)}
 
 
 def parse_report(text: str) -> ResultsReport:
@@ -186,7 +186,7 @@ def parse_report(text: str) -> ResultsReport:
     except ValueError as exc:
         raise ReportFormatError(f"bad config echo: {exc}") from exc
 
-    seeds = take("seeds", _seeds)
+    seeds = take("seeds", parse_seeds)
     runs = []
     for r, seed in enumerate(seeds):
         prefix = f"run.{r}"
@@ -199,9 +199,9 @@ def parse_report(text: str) -> ResultsReport:
             key = f"{rp}.increment"
             if take(key, int) != inc:
                 raise ReportFormatError(f"report key {key!r} is not {inc}")
-            classes = take(f"{rp}.classes", _ints)
+            classes = take(f"{rp}.classes", _classes)
             overall = take(f"{rp}.overall", float)
-            per_class = take(f"{rp}.per_class", _per_class)
+            per_class = take(f"{rp}.per_class", lambda text: _per_class(text, classes))
             seconds = take(f"{rp}.seconds", float)
             trace = {}
             for key in TRACE_KEYS:

@@ -10,9 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import clare
-from clare.config import ExperimentConfig, config_from_items
+from clare.config import CONFIG_KEYS, ExperimentConfig, config_from_items
 from clare.dataio import parse_idx, write_idx
-from clare.harness import UsageError, read_config_file, run_cli
+from clare.harness import UsageError, build_parser, merge_config, read_config_file, run_cli
 from clare import harness
 from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
@@ -161,6 +161,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=f"^{key} "):
             ExperimentConfig(**kwargs).validate()
 
+    def test_resolving_twice_changes_nothing(self):
+        config = ExperimentConfig(dataset="toy").resolved()
+        assert config.resolved() == config
+
 
 def _tiny_report(seeds=(5,)) -> ResultsReport:
     runs = []
@@ -240,13 +244,28 @@ class TestReportRoundTrip:
             ("run.0.record.1.increment", "banana"),
             ("seeds", ""),
             ("seeds", "5,5"),
+            ("seeds", "-5"),
+            ("seeds", "5,"),
             ("mode", "banana"),
+            ("run.0.record.1.classes", "1,1"),
+            ("run.0.record.1.classes", "1,0"),
+            ("run.0.record.1.per_class", "7:98.0"),
+            ("run.0.record.1.per_class", "0:98.0,0:97.0"),
+            ("run.0.record.1.per_class", "1:98.0,0:99.0"),
         ],
     )
     def test_malformed_value_names_its_key(self, key, value):
         with pytest.raises(ReportFormatError,
                            match=re.escape(f"report key {key!r} has bad value {value!r}")):
             parse_report(_with_value(key, value))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("g", "0"), ("lr", "nan"), ("dataset", "cifar"), ("d_z", "999"), ("enc_hidden", "0,7")],
+    )
+    def test_invalid_config_echo_names_the_field(self, field, value):
+        with pytest.raises(ReportFormatError, match=re.escape(f"bad config echo: {field} ")):
+            parse_report(_with_value(f"config.{field}", value))
 
     def test_record_numbered_out_of_place_names_its_key(self):
         key = "run.0.record.1.increment"
@@ -513,11 +532,35 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "seeds, message",
-        [("3,-1", "--seeds must be >= 0, got -1"), ("1,1", "--seeds repeats a seed: '1,1'")],
+        [
+            ("3,-1", "--seeds must be >= 0, got -1"),
+            ("1,1", "--seeds repeats a seed: '1,1'"),
+            ("1,,2", "--seeds needs comma-separated integers, got '1,,2'"),
+            ("3,", "--seeds needs comma-separated integers, got '3,'"),
+            ("", "--seeds needs comma-separated integers, got ''"),
+        ],
     )
     def test_negative_or_repeated_seeds_are_usage_errors(self, seeds, message, capsys):
         assert run_cli(TOY_ARGS + ["--seeds", seeds]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_flag_value_names_its_key(self, capsys):
+        assert run_cli(TOY_ARGS + ["--batch", "x"]) == 2
+        assert capsys.readouterr().err == "error: config key 'batch_size' needs an integer, got 'x'\n"
+
+    def test_empty_epochs_flag_means_the_dataset_default(self):
+        config = merge_config(build_parser().parse_args(["--dataset", "toy", "--epochs", ""]))
+        assert config.epochs is None
+        assert config.resolved().epochs == ExperimentConfig(dataset="toy").resolved().epochs
+
+    def test_data_dir_comes_from_the_environment_only_through_resolved(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("CLARE_DATA_DIR", str(tmp_path))
+        config = ExperimentConfig(dataset="mnist")
+        assert config.resolved().data_dir == str(tmp_path)
+        with pytest.raises(UsageError, match="mnist needs --data-dir"):
+            harness.load_datasets(config)
 
     def test_invalid_flag_value_is_usage_error(self, capsys):
         assert run_cli(TOY_ARGS + ["--g", "0"]) == 2
@@ -561,3 +604,28 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "toy_classes = 40" in err and "toy_dim = 4" in err, err
+
+
+# One non-default, valid value for every config key that has a flag.
+FLAG_VALUES = {
+    "dataset": "toy", "data_dir": "some dir", "g": "2", "epochs": "3",
+    "batch_size": "16", "lr": "0.01", "d_z": "4", "beta": "0.5", "replay": "off",
+    "start": "warm", "seed": "9", "out_path": "r.txt", "toy_classes": "4",
+    "toy_per_class": "50", "toy_dim": "8", "toy_spread": "0.1",
+}
+CONFIG_FLAGS = [
+    (action.option_strings[0], action.dest)
+    for action in build_parser()._actions
+    if action.dest in CONFIG_KEYS
+]
+
+
+@pytest.mark.parametrize("flag, key", CONFIG_FLAGS)
+def test_flag_and_config_file_line_give_the_same_config(flag, key, tmp_path):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {FLAG_VALUES[key]}\n")
+    parser = build_parser()
+    from_flag = merge_config(parser.parse_args([flag, FLAG_VALUES[key]]))
+    from_file = merge_config(parser.parse_args(["--config", str(cfg)]))
+    assert from_flag == from_file
+    assert from_flag != ExperimentConfig()

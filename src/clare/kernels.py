@@ -4,6 +4,10 @@ Each kernel is one vectorized numpy function. Matrix products are
 deliberately *not* here: they stay on numpy's BLAS, where a hand-rolled loop
 cannot compete.
 
+``fork_join`` runs the parts of a split pass (today the optimizer's flat
+buffers) on a small pool of worker threads; numpy releases the GIL inside
+its loops, so the parts run in parallel.
+
 All kernels are float64 in, float64 out. Where a kernel runs in place over
 blocks, each element still sees the IEEE operations of the textbook
 expression in its order, so results do not depend on the block size.
@@ -12,6 +16,7 @@ expression in its order, so results do not depend on the block size.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -119,6 +124,21 @@ def reparam_dlv(g: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> np.nda
     return 0.5 * np.exp(0.5 * log_var) * noise * g
 
 
+def all_finite(x: np.ndarray, row: np.ndarray) -> bool:
+    """Whether every entry of the flat ``x`` is finite, scanned a block at a time.
+
+    Each block's mask is written into ``row``, a float64 scratch row of at
+    least ``min(x.size, BLOCK)`` entries viewed as booleans, so the scan
+    makes no temporary array.
+    """
+    mask = row.view(np.bool_)
+    for start in range(0, x.size, BLOCK):
+        part = x[start : start + BLOCK]
+        if not np.isfinite(part, out=mask[: part.size]).all():
+            return False
+    return True
+
+
 def adam_step(
     p: np.ndarray,
     g: np.ndarray,
@@ -130,18 +150,21 @@ def adam_step(
     beta2: float,
     eps: float,
     scratch: np.ndarray | None = None,
-) -> None:
+) -> bool:
     # In place over fixed-size blocks with two small scratch buffers, the
     # rows of ``scratch`` (shape ``(2, min(n, BLOCK))``, allocated here
     # when not given). Each element sees the IEEE operations of the textbook
     # expression in its order: m*b1 + (1-b1)*g, v*b2 + ((1-b2)*g)*g, then
-    # p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+    # p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps). Returns whether every updated
+    # entry of ``p`` and ``v`` is finite, each block scanned while it is
+    # still in cache.
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     n = p.shape[0]
     if scratch is None:
         scratch = np.empty((2, min(n, BLOCK)))
     scratch_a, scratch_b = scratch
+    finite = True
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         pb, gb, mb, vb = p[start:stop], g[start:stop], m[start:stop], v[start:stop]
@@ -161,21 +184,119 @@ def adam_step(
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
         np.subtract(pb, b, out=pb)
+        finite = finite and all_finite(pb, scratch_a) and all_finite(vb, scratch_a)
+    return finite
 
 
 def sgd_step(
     p: np.ndarray, g: np.ndarray, lr: float, scratch: np.ndarray | None = None
-) -> None:
+) -> bool:
     # In place over blocks, ``lr * g`` held in the first row of ``scratch``
     # (allocated here when not given): per element exactly p - lr*g.
+    # Returns whether every updated entry of ``p`` is finite.
     n = p.shape[0]
     if scratch is None:
         scratch = np.empty((1, min(n, BLOCK)))
+    finite = True
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         a = scratch[0, : stop - start]
         np.multiply(g[start:stop], lr, out=a)
         np.subtract(p[start:stop], a, out=p[start:stop])
+        finite = finite and all_finite(p[start:stop], scratch[0])
+    return finite
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+
+# Workers of a split pass: the calling thread plus up to this many minus one
+# pool threads.
+MAX_WORKERS = 2
+
+_workers = 0  # 0 until the first ``workers()`` call
+_pool = None  # the pool threads' executor, when there are any
+_blas: list = []  # the loaded OpenBLAS libraries whose threads a split pass stops
+
+
+def workers() -> int:
+    """How many workers a split pass uses; starts the pool on the first call.
+
+    That is ``min(MAX_WORKERS, usable cores)``, but one (no pool thread) when
+    no loaded OpenBLAS lets ``fork_join`` stop its threads, which would
+    otherwise keep spinning on the cores the pool needs.
+    """
+    global _workers, _pool, _blas
+    if not _workers:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        count = min(MAX_WORKERS, cores)
+        _blas = _openblas_libraries() if count > 1 else []
+        if _blas:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(count - 1, thread_name_prefix="clare-kernels")
+            # A forked child has none of the pool's threads: it starts its own.
+            os.register_at_fork(after_in_child=_forget_pool)
+        else:
+            count = 1
+        _workers = count
+    return _workers
+
+
+def _forget_pool() -> None:
+    global _workers, _pool
+    _workers, _pool = 0, None
+
+
+def fork_join(fn, parts: list) -> list:
+    """``[fn(part) for part in parts]``, the first part on the calling thread.
+
+    The other parts go to the pool's threads, or run on the calling thread
+    too when there is no pool. Returns once every part has finished, and
+    re-raises the first failure only then, so no part is still writing when
+    the caller sees the result or the error.
+
+    A pass on the pool first stops OpenBLAS's threads. After each matrix
+    product they spin for up to 2**28 clock cycles (about 0.1 s, OpenBLAS's
+    default) waiting for the next one, on the cores the pool needs; the
+    next matrix product starts them again. Nothing else in the program runs
+    a matrix product meanwhile.
+    """
+    if len(parts) == 1 or workers() == 1:
+        return [fn(part) for part in parts]
+    for lib in _blas:
+        lib.blas_thread_shutdown_()
+    from concurrent.futures import wait
+
+    futures = [_pool.submit(fn, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
+
+
+def _openblas_libraries() -> list:
+    """Every loaded OpenBLAS that exports ``blas_thread_shutdown_``."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "blas_thread_shutdown_"):
+            lib.blas_thread_shutdown_.argtypes = []
+            lib.blas_thread_shutdown_.restype = ctypes.c_int
+            found.append(lib)
+    return found
 
 
 def backend_name() -> str:

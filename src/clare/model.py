@@ -134,7 +134,7 @@ class ClareModel:
         if rng is not None:
             for name, shape in shapes:
                 if len(shape) == 2:
-                    self.tape.param(name)[...] = nk.glorot_uniform(rng, *shape)
+                    nk.glorot_uniform(rng, self.tape.param(name))
 
     # -- forward passes ----------------------------------------------------
 

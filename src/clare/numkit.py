@@ -44,7 +44,7 @@ class ParamTape:
     which keeps seeded runs bit-reproducible.
     The tape owns two contiguous float64 vectors, one for parameters and one
     for gradients; every named tensor is a reshaped view into them, so the
-    optimizer and the finite checks each make one pass over a flat buffer.
+    optimizer and its finite scans each make one pass over a flat buffer.
     Both are allocated once, zero-filled, when the tape is built.
 
     A training step assigns every gradient (nothing accumulates) and marks
@@ -87,24 +87,21 @@ class ParamTape:
         self._params[name][...] = arr
         self._grads[name][...] = 0.0
 
-    def check_finite(self, which: str) -> None:
-        """One finite reduction over the flat ``"params"`` or ``"grads"`` buffer.
+    def check_finite(self, flat: np.ndarray, what: str) -> None:
+        """Raise ``NonFiniteError`` if the flat vector ``flat`` is not finite.
 
-        Only when it fails are the tensors searched, so the raised
-        ``NonFiniteError`` names the first one holding a bad value.
+        ``flat`` is laid out like the tape: its parameters, its gradients or
+        an optimizer moment. The error names ``what`` of the first tensor
+        holding a bad value, e.g. ``gradient of 'w1'``.
         """
-        flat = self.flat_grads if which == "grads" else self.flat_params
-        try:
-            check_finite(flat, f"flat {which} buffer")
-        except NonFiniteError:
-            bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
             end = 0
             for name, value in self._params.items():
                 end += value.size
-                if bad < end:
+                if bad[0] < end:
                     break
-            what = f"gradient of {name!r}" if which == "grads" else f"parameter {name!r}"
-            raise NonFiniteError(f"non-finite value in {what}") from None
+            raise NonFiniteError(f"non-finite value in {what} {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +128,18 @@ def linear_backward(g, x, w, dw, db, dx=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
-    """Weight matrix drawn uniform(-a, a) with ``a = sqrt(6 / (fan_in + fan_out))``."""
+def glorot_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the ``(fan_out, fan_in)`` weight matrix ``out`` with uniform(-a, a).
+
+    ``a = sqrt(6 / (fan_in + fan_out))``. The draw goes straight into
+    ``out`` and is bit for bit ``rng.uniform(-a, a, out.shape)``, which
+    computes ``low + (high - low) * random()``.
+    """
+    fan_out, fan_in = out.shape
     a = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=(fan_out, fan_in))
+    rng.random(out=out)
+    out *= a - (-a)
+    out += -a
 
 
 class OptimizerState:
@@ -142,10 +147,10 @@ class OptimizerState:
 
     Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; its two
     moments are flat vectors matching the tape's flat buffers. Both kinds
-    update in place over blocks whose temporaries are the rows of
-    ``scratch`` (two for Adam, one for SGD). Moments and scratch are
-    allocated on the first step and reused after it. The step counter is
-    shared.
+    update in place over blocks whose temporaries are rows of ``scratch``:
+    each worker of ``optimizer_step`` owns two rows for Adam and one for SGD.
+    Moments and scratch are allocated on the first step and reused after it.
+    The step counter is shared.
     """
 
     BETA1 = 0.9
@@ -165,33 +170,70 @@ class OptimizerState:
         self.scratch: np.ndarray | None = None
 
 
-def optimizer_step(tape: ParamTape, state: OptimizerState) -> None:
+# Tapes shorter than this many entries stay on one worker: handing half of
+# a few blocks to another thread costs more than it saves.
+SPLIT_MIN = 4 * kernels.BLOCK
+
+
+def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None = None) -> None:
     """Update every tape parameter in place from its gradient.
 
-    One kernel call covers the whole flat parameter vector. Gradients are
-    checked before anything moves and parameters after the update, which
-    consumes the gradients: the next update needs a new backward pass.
+    Gradients are scanned before anything moves, and parameters (and Adam's
+    second moment) block by block as the update writes them; the update
+    consumes the gradients, so the next one needs a new backward pass. A
+    failed scan raises ``NonFiniteError`` naming the first tensor with a bad
+    value.
+
+    A tape of at least ``SPLIT_MIN`` entries is cut at block boundaries into
+    one contiguous part per worker (``kernels.workers()``; ``_workers``
+    overrides the count), and each worker scans and updates its part with
+    its own scratch rows. Every element sees the same operations at any
+    worker count, so the result does not depend on it.
     """
     if not tape.populated:
         raise RuntimeError("optimizer_step before backward: tape has no gradients")
     tape.populated = False
-    tape.check_finite("grads")
-    state.step += 1
     p, g = tape.flat_params, tape.flat_grads
-    # Adam's blocked pass takes two scratch rows, SGD's one.
-    shape = (2 if state.kind == "adam" else 1, min(p.size, kernels.BLOCK))
+    adam = state.kind == "adam"
+    if _workers is None:
+        _workers = kernels.workers() if p.size >= SPLIT_MIN else 1
+    blocks = -(-p.size // kernels.BLOCK)
+    parts = max(1, min(_workers, blocks))
+    # Adam's blocked pass takes two scratch rows per worker, SGD's one.
+    rows = 2 if adam else 1
+    shape = (parts * rows, min(p.size, kernels.BLOCK))
     if state.scratch is None or state.scratch.shape != shape:
         state.scratch = np.empty(shape)
-    if state.kind == "adam":
-        if state.m is None or state.m.shape != p.shape:
-            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-        kernels.adam_step(
-            p, g, state.m, state.v, state.step, state.lr,
-            OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, state.scratch,
-        )
-    else:
-        kernels.sgd_step(p, g, state.lr, state.scratch)
-    tape.check_finite("params")
+    cuts = [min(p.size, blocks * k // parts * kernels.BLOCK) for k in range(parts + 1)]
+    spans = [
+        (slice(cuts[k], cuts[k + 1]), state.scratch[k * rows : (k + 1) * rows])
+        for k in range(parts)
+    ]
+
+    def grads_finite(span) -> bool:
+        part, scratch = span
+        return kernels.all_finite(g[part], scratch[0])
+
+    if not all(kernels.fork_join(grads_finite, spans)):
+        tape.check_finite(g, "gradient of")
+    state.step += 1
+    if adam and (state.m is None or state.m.shape != p.shape):
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    m, v = state.m, state.v
+
+    def update(span) -> bool:
+        part, scratch = span
+        if adam:
+            return kernels.adam_step(
+                p[part], g[part], m[part], v[part], state.step, state.lr,
+                OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, scratch,
+            )
+        return kernels.sgd_step(p[part], g[part], state.lr, scratch)
+
+    if not all(kernels.fork_join(update, spans)):
+        tape.check_finite(p, "parameter")
+        if adam:
+            tape.check_finite(v, "Adam second moment of")
 
 
 def iter_minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterable[np.ndarray]:

@@ -168,7 +168,10 @@ def run_increment(
     ``seed`` is this phase's derived seed. ``on_replay`` (when given) sees
     the generated buffer before training, for inspection dumps, with the
     original class labels; training uses the dense ids. Returns a new
-    state; the input state is not modified.
+    state. A warm start takes the model out of the input state (its
+    ``model`` becomes ``None``) once ``expand_classes`` has copied it, so
+    the old parameters are freed before training; nothing else in the input
+    state changes.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -218,6 +221,7 @@ def run_increment(
 
     if config.start == "warm" and state.model is not None:
         model = expand_classes(state.model, len(learned), init_rng)
+        state.model = None
     else:
         model = ClareModel(
             class_no=len(learned),

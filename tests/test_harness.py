@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ from clare.report import (
 from oracles import accuracy_oracle
 
 MINI = dict(d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestEvaluate:
@@ -565,6 +569,24 @@ class TestCli:
     def test_invalid_flag_value_is_usage_error(self, capsys):
         assert run_cli(TOY_ARGS + ["--g", "0"]) == 2
         assert "g must be" in capsys.readouterr().err
+
+    def test_overflowing_adam_moment_stops_the_run(self):
+        # beta 1e308 keeps every gradient and parameter finite but overflows
+        # Adam's second moment. Run in a subprocess, so numpy's overflow
+        # warning stays a warning there, as it is for a user.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", "from clare.harness import main; main()",
+             "--dataset", "toy", "--beta", "1e308"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 1, done.stdout
+        assert re.search(
+            r"^error: increment 0: non-finite value in Adam second moment of '\w+' "
+            r"at epoch \d+, step \d+ ",
+            done.stderr, re.MULTILINE,
+        ), done.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_exits_one(self, tmp_path, capsys):

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +25,7 @@ from conftest import step_on
 from oracles import adam_oracle, finite_difference, sigmoid_bwd
 
 FD_TOL = 1e-5
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -343,16 +351,18 @@ class TestFlatStore:
         assert np.array_equal(state.v, moments[1])
 
     def test_flat_sgd_is_bit_equal_to_the_textbook_update(self):
-        rng = np.random.default_rng(7)
-        tape = _flat_tape(7)
-        state = nk.OptimizerState("sgd", 0.03)
-        for _ in range(2):
-            tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size)
-            tape.populated = True
-            want = tape.flat_params - 0.03 * tape.flat_grads
-            nk.optimizer_step(tape, state)
-            assert np.array_equal(tape.flat_params, want)
-        assert state.scratch.shape == (1, kernels.BLOCK)
+        for workers in (1, 2):
+            rng = np.random.default_rng(7)
+            tape = _flat_tape(7)
+            state = nk.OptimizerState("sgd", 0.03)
+            for _ in range(2):
+                tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size)
+                tape.populated = True
+                want = tape.flat_params - 0.03 * tape.flat_grads
+                nk.optimizer_step(tape, state, _workers=workers)
+                assert np.array_equal(tape.flat_params, want), workers
+            # One scratch row per worker.
+            assert state.scratch.shape == (workers, kernels.BLOCK)
 
     def test_sgd_kernel_makes_no_full_size_temporary(self):
         rng = np.random.default_rng(8)
@@ -370,14 +380,36 @@ class TestFlatStore:
         assert peak < p.nbytes // 16, f"peak {peak} bytes"
 
     def test_one_finite_check_per_buffer(self, monkeypatch):
-        tape = _flat_tape(4)
-        checked = []
-        real = nk.check_finite
-        monkeypatch.setattr(nk, "check_finite", lambda v, what: (checked.append(v), real(v, what)))
-        tape.flat_grads[...] = 1.0
-        tape.populated = True
-        nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3))
-        assert [id(v) for v in checked] == [id(tape.flat_grads), id(tape.flat_params)]
+        # Every scan reads a slice of one flat buffer. Gradients are scanned
+        # before the update and parameters and Adam's second moment during
+        # it; at each worker count the slices of each buffer cover it
+        # exactly once, and nothing else is scanned.
+        real = kernels.all_finite
+        for workers in (1, 2):
+            tape = _flat_tape(4)
+            state = nk.OptimizerState("adam", 1e-3)
+            tape.flat_grads[...] = 1.0
+            tape.populated = True
+            state.m, state.v = np.zeros_like(tape.flat_params), np.zeros_like(tape.flat_params)
+            buffers = {"grads": tape.flat_grads, "params": tape.flat_params, "v": state.v}
+            scanned = {name: [] for name in buffers}
+
+            def spy(x, row):
+                (name,) = [k for k, buf in buffers.items() if np.shares_memory(x, buf)]
+                start = (x.ctypes.data - buffers[name].ctypes.data) // x.itemsize
+                scanned[name].append((start, start + x.size))
+                return real(x, row)
+
+            monkeypatch.setattr(kernels, "all_finite", spy)
+            nk.optimizer_step(tape, state, _workers=workers)
+            monkeypatch.setattr(kernels, "all_finite", real)
+            for name, spans in scanned.items():
+                spans.sort()
+                ends = [0] + [stop for _, stop in spans]
+                assert [start for start, _ in spans] == ends[:-1], (workers, name)
+                assert ends[-1] == tape.flat_params.size, (workers, name)
+            # Before anything moves, one scan per worker covers the gradients.
+            assert len(scanned["grads"]) == workers
 
     def test_nan_in_last_gradient_is_named(self):
         tape = _flat_tape(5)
@@ -392,6 +424,237 @@ class TestFlatStore:
         tape.populated = True
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
             nk.optimizer_step(tape, nk.OptimizerState("sgd", 1e-3))
+
+
+def _run_steps(kind: str, workers: int, steps: int = 3):
+    """Seeded steps on a flat tape; returns the tape and optimizer state."""
+    rng = np.random.default_rng(11)
+    tape = _flat_tape(11)
+    state = nk.OptimizerState(kind, 1e-3)
+    for _ in range(steps):
+        scale = 10.0 ** rng.integers(-8, 3, tape.flat_grads.size)
+        tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size) * scale
+        tape.populated = True
+        nk.optimizer_step(tape, state, _workers=workers)
+    return tape, state
+
+
+class TestSplitOptimizer:
+    """The optimizer's passes cut into one part per worker."""
+
+    def test_flat_tape_is_split_but_not_a_whole_number_of_blocks(self):
+        size = _flat_tape().flat_params.size
+        assert size >= nk.SPLIT_MIN and size % kernels.BLOCK
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_adam_matches_the_oracle_at_each_worker_count(self, workers):
+        tape, state = _run_steps("adam", workers)
+        ref = nk.ParamTape(FLAT_SHAPES)
+        ref.flat_params[...] = _flat_tape(11).flat_params
+        p, m, v = ref.flat_params, np.zeros_like(ref.flat_params), np.zeros_like(ref.flat_params)
+        rng = np.random.default_rng(11)
+        for t in (1, 2, 3):
+            scale = 10.0 ** rng.integers(-8, 3, p.size)
+            g = rng.standard_normal(p.size) * scale
+            p, m, v = adam_oracle(
+                p, g, m, v, t, 1e-3,
+                nk.OptimizerState.BETA1, nk.OptimizerState.BETA2, nk.OptimizerState.EPS,
+            )
+        assert np.array_equal(tape.flat_params, p)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
+        assert state.scratch.shape == (2 * workers, kernels.BLOCK)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sgd_matches_the_textbook_update_at_each_worker_count(self, workers):
+        tape, _ = _run_steps("sgd", workers, steps=1)
+        want = _flat_tape(11).flat_params - 1e-3 * tape.flat_grads
+        assert np.array_equal(tape.flat_params, want)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_results_do_not_depend_on_the_worker_count(self, kind):
+        one, two, default = (_run_steps(kind, w) for w in (1, 2, None))
+        for tape, state in (two, default):
+            assert np.array_equal(tape.flat_params, one[0].flat_params)
+            if kind == "adam":
+                assert np.array_equal(state.m, one[1].m)
+                assert np.array_equal(state.v, one[1].v)
+
+    def test_more_parts_than_cores_under_fast_thread_switching(self):
+        # Parts beyond the pool's threads queue up; each writes only its own
+        # slice, so no interleaving can change a bit.
+        want = _run_steps("adam", 1, steps=4)[0].flat_params
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _run_steps("adam", 5, steps=4)[0].flat_params
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_parts_are_cut_at_a_block_boundary(self, monkeypatch):
+        sizes = []
+        real = kernels.adam_step
+        monkeypatch.setattr(
+            kernels, "adam_step", lambda p, *args: (sizes.append(p.size), real(p, *args))[1]
+        )
+        _run_steps("adam", 2, steps=1)
+        assert len(sizes) == 2 and sum(sizes) == _flat_tape().flat_params.size
+        assert sizes[0] % kernels.BLOCK == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_gradient_in_the_second_half_is_named_and_moves_nothing(self, workers):
+        tape = _flat_tape(12)
+        before = tape.flat_params.copy()
+        tape.grad("w2")[5, 9] = np.nan
+        tape.populated = True
+        state = nk.OptimizerState("adam", 1e-3)
+        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'w2'$"):
+            nk.optimizer_step(tape, state, _workers=workers)
+        assert np.array_equal(tape.flat_params, before)
+        assert state.step == 0 and state.m is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_parameter_in_the_second_half_is_named(self, workers):
+        tape = _flat_tape(13)
+        tape.param("w2")[0, 0] = -np.inf
+        tape.populated = True
+        with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
+            nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3), _workers=workers)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_second_moment_is_named(self, workers):
+        # (1 - beta2) * g * g overflows for |g| near 1e160 while g itself
+        # and the parameter update stay finite.
+        tape = _flat_tape(14)
+        tape.flat_grads[...] = 1.0
+        tape.grad("b1")[7] = 1e160
+        tape.populated = True
+        state = nk.OptimizerState("adam", 1e-3)
+        with pytest.raises(
+            nk.NonFiniteError, match=r"^non-finite value in Adam second moment of 'b1'$"
+        ):
+            nk.optimizer_step(tape, state, _workers=workers)
+        assert np.isfinite(tape.flat_params).all()
+
+    def test_toy_sized_tape_never_starts_the_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a toy-sized tape reached the pool or BLAS")
+
+        for name in ("workers", "_openblas_libraries"):
+            monkeypatch.setattr(kernels, name, refuse)
+        model, loss = _mini_step(15)
+        assert model.tape.flat_params.size < nk.SPLIT_MIN
+        state = nk.OptimizerState("adam", 1e-2)
+        for _ in range(3):
+            loss()
+            nk.optimizer_step(model.tape, state)
+        assert state.scratch.shape == (2, model.tape.flat_params.size)
+
+    def test_one_usable_core_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_workers", 0)
+        monkeypatch.setattr(kernels, "_pool", None)
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(kernels, "_openblas_libraries", lambda: pytest.fail("BLAS touched"))
+        assert kernels.workers() == 1
+        assert kernels._pool is None
+        tape, state = _run_steps("adam", None)
+        assert state.scratch.shape == (2, kernels.BLOCK)
+        assert np.array_equal(tape.flat_params, _run_steps("adam", 1)[0].flat_params)
+
+    def test_no_openblas_to_stop_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_workers", 0)
+        monkeypatch.setattr(kernels, "_pool", None)
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(kernels, "_openblas_libraries", lambda: [])
+        assert kernels.workers() == 1
+        assert kernels._pool is None
+
+    def test_fork_join_returns_in_order_and_waits_for_every_part(self, monkeypatch):
+        # A pool with one thread, as on two cores, whatever this machine has.
+        pool = ThreadPoolExecutor(1)
+        stops = []
+
+        class Blas:
+            def blas_thread_shutdown_(self):
+                stops.append(1)
+
+        monkeypatch.setattr(kernels, "_workers", 2)
+        monkeypatch.setattr(kernels, "_pool", pool)
+        monkeypatch.setattr(kernels, "_blas", [Blas()])
+        finished = []
+
+        def part(k):
+            if k == 0:
+                raise ValueError("first part failed")
+            time.sleep(0.05)
+            finished.append(k)
+
+        try:
+            assert kernels.fork_join(lambda k: k * k, [1, 2, 3]) == [1, 4, 9]
+            with pytest.raises(ValueError, match="first part failed"):
+                kernels.fork_join(part, [0, 1, 2])
+            assert sorted(finished) == [1, 2]
+            # BLAS threads are stopped once per pass on the pool, and a pass
+            # of one part leaves them alone.
+            assert len(stops) == 2
+            assert kernels.fork_join(lambda k: k, [5]) == [5]
+            assert len(stops) == 2
+        finally:
+            pool.shutdown()
+
+    def test_forked_child_starts_its_own_pool(self):
+        want = _run_steps("adam", 1, steps=1)[0].flat_params
+        _run_steps("adam", 2, steps=1)  # the parent's pool is running
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process that has threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                got = _run_steps("adam", 2, steps=1)[0].flat_params
+                os._exit(0 if np.array_equal(got, want) else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in the optimizer step")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_stopped_blas_threads_restart_with_the_next_product(self):
+        # In a fresh process: a threaded product starts OpenBLAS's threads,
+        # stopping them ends those threads, and the next product starts them
+        # again with the same result.
+        script = (
+            "import json, os, numpy as np\n"
+            "from clare import kernels\n"
+            "threads = lambda: len(os.listdir('/proc/self/task'))\n"
+            "a = np.random.default_rng(0).standard_normal((512, 512))\n"
+            "want = a @ a\n"
+            "before = threads()\n"
+            "libs = kernels._openblas_libraries()\n"
+            "for lib in libs:\n"
+            "    lib.blas_thread_shutdown_()\n"
+            "stopped = threads()\n"
+            "same = bool(np.array_equal(a @ a, want))\n"
+            "print(json.dumps([len(libs), before, stopped, threads(), same]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        libs, before, stopped, after, same = json.loads(done.stdout)
+        assert same
+        assert after == before
+        assert stopped <= before
+        if libs and len(os.sched_getaffinity(0)) > 1:
+            assert stopped < before
 
 
 class TestNonFinite:
@@ -427,12 +690,19 @@ class TestDeterminism:
 class TestInitializer:
     def test_glorot_bound(self):
         rng = np.random.default_rng(0)
-        w = nk.glorot_uniform(rng, 300, 100)
+        w = np.empty((300, 100))
+        nk.glorot_uniform(rng, w)
         a = np.sqrt(6.0 / 400.0)
-        assert w.shape == (300, 100)
         assert np.abs(w).max() <= a
         # A uniform(-a, a) sample this large lands near zero mean.
         assert abs(w.mean()) < a / 10.0
+
+    @pytest.mark.parametrize("shape", [(512, 794), (784, 512), (64, 256), (10, 64)])
+    def test_in_place_draw_equals_numpy_uniform(self, shape):
+        a = np.sqrt(6.0 / sum(shape))
+        w = np.empty(shape)
+        nk.glorot_uniform(np.random.default_rng(3), w)
+        assert np.array_equal(w, np.random.default_rng(3).uniform(-a, a, shape))
 
 
 class TestActivationProperties:

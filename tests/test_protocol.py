@@ -469,6 +469,38 @@ class TestModelLifetime:
         # Which earlier models were still reachable as each increment trained.
         assert reachable == [[], [False], [False, False]]
 
+    def test_warm_start_drops_the_previous_model_before_training(self, data, monkeypatch):
+        # expand_classes copies the old model, so neither run_experiment's
+        # state nor run_increment's argument may keep it while the grown one
+        # trains.
+        train, test = data
+        refs, reachable = [], []
+
+        def spy(model, *args, **kwargs):
+            gc.collect()
+            reachable.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(model))
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "train_model", spy)
+        config = replace(FAST, start="warm")
+        run_experiment(train, test, build_schedule([0, 1, 2], g=1), config, seed=61)
+        assert reachable == [[], [False], [False, False]]
+        reachable.clear()
+        refs.clear()
+        run_finetune_baseline(train, test, build_schedule([0, 1, 2], g=1), FAST, seed=62)
+        assert reachable == [[], [False], [False, False]]
+
+    def test_warm_increment_hands_over_the_input_model(self, data):
+        train, test = data
+        config = replace(FAST, start="warm")
+        first = run_increment(IncrementState(), subset_by_classes(train, [0]), test, config, 63)
+        learned, history = list(first.learned), list(first.history)
+        second = run_increment(first, subset_by_classes(train, [1]), test, config, 64)
+        assert first.model is None
+        assert first.learned == learned and first.history == history
+        assert second.model.class_no == 2
+
     def test_warm_start_expands_the_previous_model(self, data, monkeypatch):
         train, test = data
         trained, expanded = [], []

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +34,10 @@ LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
 
 CHECKPOINT_MAGIC = b"CLRE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Magic, version, class_no, d_z, input_dim, the two encoder widths and the
+# two decoder widths; the tape's flat parameters follow.
+_HEADER = struct.Struct("<4s8I")
 
 # d_z beyond the trunk width adds parameters without adding information.
 MAX_LATENT_DIM = 256
@@ -63,6 +65,36 @@ def one_hot(labels: np.ndarray, class_no: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], class_no))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
+
+
+def _param_shapes(class_no: int, d_z: int, input_dim: int, enc_hidden, dec_hidden) -> list:
+    """Every parameter's name and shape, in tape and checkpoint order.
+
+    Every class-indexed axis ends in its class block: the condition columns
+    of enc_w1 and dec_w1, the rows of cls_w and cls_b. So a model with fewer
+    classes is the leading corner of each tensor, which is all
+    ``expand_classes`` relies on.
+    """
+    h1, h2 = enc_hidden
+    g1, g2 = dec_hidden
+    return [
+        ("enc_w1", (h1, input_dim + class_no)),
+        ("enc_b1", (h1,)),
+        ("enc_w2", (h2, h1)),
+        ("enc_b2", (h2,)),
+        ("enc_wmu", (d_z, h2)),
+        ("enc_bmu", (d_z,)),
+        ("enc_wlv", (d_z, h2)),
+        ("enc_blv", (d_z,)),
+        ("cls_w", (class_no, d_z)),
+        ("cls_b", (class_no,)),
+        ("dec_w1", (g1, d_z + class_no)),
+        ("dec_b1", (g1,)),
+        ("dec_w2", (g2, g1)),
+        ("dec_b2", (g2,)),
+        ("dec_w3", (input_dim, g2)),
+        ("dec_b3", (input_dim,)),
+    ]
 
 
 class ClareModel:
@@ -104,30 +136,7 @@ class ClareModel:
         self._build(rng)
 
     def _build(self, rng: np.random.Generator | None) -> None:
-        h1, h2 = self.enc_hidden
-        g1, g2 = self.dec_hidden
-        # Every class-indexed axis ends in its class block: the condition
-        # columns of enc_w1 and dec_w1, the rows of cls_w and cls_b. So a
-        # model with fewer classes is the leading corner of each tensor,
-        # which is all ``expand_classes`` relies on.
-        shapes = [
-            ("enc_w1", (h1, self.input_dim + self.class_no)),
-            ("enc_b1", (h1,)),
-            ("enc_w2", (h2, h1)),
-            ("enc_b2", (h2,)),
-            ("enc_wmu", (self.d_z, h2)),
-            ("enc_bmu", (self.d_z,)),
-            ("enc_wlv", (self.d_z, h2)),
-            ("enc_blv", (self.d_z,)),
-            ("cls_w", (self.class_no, self.d_z)),
-            ("cls_b", (self.class_no,)),
-            ("dec_w1", (g1, self.d_z + self.class_no)),
-            ("dec_b1", (g1,)),
-            ("dec_w2", (g2, g1)),
-            ("dec_b2", (g2,)),
-            ("dec_w3", (self.input_dim, g2)),
-            ("dec_b3", (self.input_dim,)),
-        ]
+        shapes = _param_shapes(*_dims(self))
         # One allocation for the whole tape; biases stay zero, and weights
         # draw Glorot values straight into their views, in tape order.
         self.tape = ParamTape(shapes)
@@ -295,7 +304,7 @@ class StepWorkspace:
         n, d, c, d_z = batch, model.input_dim, model.class_no, model.d_z
         h1, h2 = model.enc_hidden
         g1, g2 = model.dec_hidden
-        self.dims = _step_dims(model)
+        self.dims = _dims(model)
         self.n = n
         self.rows = np.arange(n)
         self.x = np.empty((n, d))
@@ -340,8 +349,9 @@ class StepWorkspace:
         np.take(labels, rows, out=self.labels, mode="clip")
 
 
-def _step_dims(model: ClareModel) -> tuple:
-    return (model.input_dim, model.class_no, model.d_z, model.enc_hidden, model.dec_hidden)
+def _dims(model: ClareModel) -> tuple:
+    """The architecture, as ``_param_shapes`` takes it."""
+    return (model.class_no, model.d_z, model.input_dim, model.enc_hidden, model.dec_hidden)
 
 
 def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) -> dict[str, float]:
@@ -355,8 +365,8 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     Returns the three component values and their total. Raises
     ``NonFiniteError`` if the total is not finite.
     """
-    if ws.dims != _step_dims(model):
-        raise ValueError(f"workspace shapes {ws.dims} do not match the model {_step_dims(model)}")
+    if ws.dims != _dims(model):
+        raise ValueError(f"workspace shapes {ws.dims} do not match the model {_dims(model)}")
     n, d, d_z = ws.n, model.input_dim, model.d_z
     labels = ws.labels
     if labels.min() < 0 or labels.max() >= model.class_no:
@@ -447,7 +457,7 @@ def expand_classes(
     """Widen every class-indexed parameter block to ``new_class_no``.
 
     Each old tensor is copied verbatim into the leading corner of its grown
-    counterpart (``_build`` puts every class block last), so old-class
+    counterpart (``_param_shapes`` puts every class block last), so old-class
     logits and old-class reconstructions are bit-identical as long as the
     new one-hot positions stay zero. Newly added slices are freshly
     initialized.
@@ -471,124 +481,56 @@ def expand_classes(
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container
+# checkpoints
 # ---------------------------------------------------------------------------
 
 
-def write_container(path: str, class_no: int, d_z: int, params: Mapping[str, np.ndarray]) -> None:
-    """Write named float64 tensors with a magic/version/shape header.
-
-    Layout, all integers little-endian u32: magic ``CLRE``, format version,
-    class_no, d_z, then for each tensor in mapping order its name length,
-    utf-8 name, rank, dims, and raw little-endian float64 payload.
-    """
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<III", CHECKPOINT_VERSION, class_no, d_z))
-        for name, value in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", value.ndim))
-            for dim in value.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-
-
-def read_container(path: str) -> tuple[int, int, dict[str, np.ndarray]]:
-    """Inverse of ``write_container``; returns (class_no, d_z, params).
-
-    Every read is bounds-checked: a truncated or malformed file raises
-    ``ValueError`` naming the byte offset and, once known, the tensor.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tensor = ""
-
-    def take(offset: int, size: int, what: str) -> bytes:
-        if offset + size > len(data):
-            where = f" of tensor {tensor!r}" if tensor else ""
-            raise ValueError(
-                f"truncated checkpoint: {what}{where} needs {size} bytes at "
-                f"offset {offset}, file has {len(data)}"
-            )
-        return data[offset : offset + size]
-
-    def u32s(offset: int, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(offset, 4 * count, what))
-
-    if take(0, 4, "magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {data[:4]!r} at offset 0")
-    version, class_no, d_z = u32s(4, 3, "header")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    params: dict[str, np.ndarray] = {}
-    offset = 16
-    while offset < len(data):
-        (name_len,) = u32s(offset, 1, "name length")
-        offset += 4
-        try:
-            tensor = take(offset, name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"tensor name at offset {offset} is not utf-8: {err}") from None
-        if tensor in params:
-            raise ValueError(f"duplicate tensor {tensor!r} at offset {offset}")
-        offset += name_len
-        (rank,) = u32s(offset, 1, "rank")
-        offset += 4
-        dims = u32s(offset, rank, "dims")
-        offset += 4 * rank
-        count = math.prod(dims)
-        payload = take(offset, 8 * count, "payload")
-        offset += 8 * count
-        params[tensor] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-    return class_no, d_z, params
-
-
 def save_model(model: ClareModel, path: str) -> None:
-    """Checkpoint every parameter; the round trip is bit-exact."""
-    write_container(
-        path,
-        model.class_no,
-        model.d_z,
-        {name: model.tape.param(name) for name in model.tape.names()},
-    )
+    """Write ``_HEADER`` and then the tape's flat parameters as little-endian
+    float64; the round trip is bit-exact."""
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.class_no, model.d_z,
+                          model.input_dim, *model.enc_hidden, *model.dec_hidden)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(model.tape.flat_params.astype("<f8", copy=False).data)
 
 
 def load_model(path: str) -> ClareModel:
-    """Rebuild a model from a checkpoint; dimensions come from the tensors.
+    """Rebuild a model from a ``save_model`` file.
 
-    A missing, unknown or misshapen tensor raises ``ValueError`` naming it.
+    The payload's length is checked against the header's dimensions before
+    anything is allocated. A bad magic, a short file or extra bytes raise
+    ``ValueError`` naming the offset (and, for a short payload, the tensor
+    it ends in), and any version but ``CHECKPOINT_VERSION`` one naming that
+    version; dimensions ``ClareModel`` rejects raise its ``ValueError``.
     """
-    class_no, d_z, params = read_container(path)
-    # The architecture is read from these; every other tensor is checked
-    # against the model they build.
-    for name in ("enc_w1", "enc_w2", "dec_w1", "dec_w2"):
-        if name not in params:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-        if params[name].ndim != 2:
+    with open(path, "rb") as fh:
+        data = fh.read()
+
+    def need(offset: int, size: int, what: str) -> None:
+        if offset + size > len(data):
             raise ValueError(
-                f"checkpoint tensor {name!r} must be 2-d, got shape {params[name].shape}"
+                f"truncated checkpoint: {what} needs {size} bytes at "
+                f"offset {offset}, file has {len(data)}"
             )
-    input_dim = params["enc_w1"].shape[1] - class_no
-    enc_hidden = (params["enc_w1"].shape[0], params["enc_w2"].shape[0])
-    dec_hidden = (params["dec_w1"].shape[0], params["dec_w2"].shape[0])
-    model = ClareModel(
-        class_no=class_no,
-        d_z=d_z,
-        input_dim=input_dim,
-        enc_hidden=enc_hidden,
-        dec_hidden=dec_hidden,
-        rng=None,
-    )
-    names = model.tape.names()
-    for name in params:
-        if name not in names:
-            raise ValueError(f"checkpoint has unknown tensor {name!r}")
-    for name in names:
-        if name not in params:
-            raise ValueError(f"checkpoint is missing tensor {name!r}")
-        model.tape.set_param(name, params[name])
+
+    need(0, 8, "magic and version")
+    magic, version = struct.unpack_from("<4sI", data)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r} at offset 0")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    need(8, _HEADER.size - 8, "header")
+    class_no, d_z, input_dim, h1, h2, g1, g2 = _HEADER.unpack_from(data)[2:]
+    dims = (class_no, d_z, input_dim, (h1, h2), (g1, g2))
+    offset = _HEADER.size
+    for name, shape in _param_shapes(*dims):
+        need(offset, 8 * math.prod(shape), f"payload of tensor {name!r}")
+        offset += 8 * math.prod(shape)
+    if offset != len(data):
+        raise ValueError(
+            f"trailing bytes in checkpoint: payload ends at offset {offset}, file has {len(data)}"
+        )
+    model = ClareModel(*dims, rng=None)
+    model.tape.flat_params[...] = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return model

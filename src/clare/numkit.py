@@ -23,12 +23,9 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared in a value that must stay finite."""
 
 
-def check_finite(value: np.ndarray | float, what: str) -> None:
+def check_finite(value: float, what: str) -> None:
     """Raise ``NonFiniteError`` naming ``what`` if ``value`` is not finite."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"non-finite value in {what}")
-    elif not np.isfinite(value).all():
+    if not math.isfinite(value):
         raise NonFiniteError(f"non-finite value in {what}")
 
 
@@ -76,16 +73,6 @@ class ParamTape:
 
     def grad(self, name: str) -> np.ndarray:
         return self._grads[name]
-
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        """Copy ``value`` into the parameter's view and zero its gradient."""
-        arr = as_f64(value)
-        if arr.shape != self._params[name].shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: have {self._params[name].shape}, got {arr.shape}"
-            )
-        self._params[name][...] = arr
-        self._grads[name][...] = 0.0
 
     def check_finite(self, flat: np.ndarray, what: str) -> None:
         """Raise ``NonFiniteError`` if the flat vector ``flat`` is not finite.

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import clare
@@ -312,6 +314,57 @@ class TestReportRoundTrip:
         # 3 records per run with 1, 2, and 3 class entries.
         assert len(lines) == 1 + 2 * (1 + 2 + 3)
         assert lines[1].startswith("5,0,0,")
+
+
+TWO_SEED_REPORT = _tiny_report(seeds=(5, 6))
+TWO_SEED_TEXT = render_report(TWO_SEED_REPORT)
+CONFIG_FILE_TEXT = "# a toy run\n" + "".join(
+    f"{key} = {value}\n" for key, value in TWO_SEED_REPORT.config.to_items()
+)
+
+
+def _one_char_changed(text: str):
+    """Strategy: ``text`` with one character replaced, often by a separator."""
+    separators = st.sampled_from(sorted(set(text) | set("\n\r =,:#.-e")))
+    return st.tuples(
+        st.integers(min_value=0, max_value=len(text) - 1),
+        st.one_of(separators, st.characters(codec="utf-8")),
+    ).map(lambda edit: text[: edit[0]] + edit[1] + text[edit[0] + 1 :])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(min_value=0, max_value=len(TWO_SEED_TEXT)))
+def test_every_report_prefix_is_rejected_or_parses_to_the_same_runs(cut):
+    try:
+        back = parse_report(TWO_SEED_TEXT[:cut])
+    except ReportFormatError:
+        return
+    # Only a cut inside the last value, total_seconds, leaves a whole report.
+    value_start = TWO_SEED_TEXT.rindex("total_seconds = ") + len("total_seconds = ")
+    assert cut > value_start
+    assert back.runs == TWO_SEED_REPORT.runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_one_char_changed(TWO_SEED_TEXT))
+def test_a_one_character_change_to_a_report_parses_or_is_a_format_error(text):
+    try:
+        parse_report(text)
+    except ReportFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_one_char_changed(CONFIG_FILE_TEXT))
+def test_a_one_character_change_to_a_config_file_reads_or_names_its_line(
+    tmp_path_factory, text
+):
+    path = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        read_config_file(str(path))
+    except UsageError as err:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(err)), str(err)
 
 
 TOY_ARGS = [

@@ -4,6 +4,8 @@ and checkpoints."""
 from __future__ import annotations
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +23,9 @@ from clare.model import (
     expand_classes,
     load_model,
     one_hot,
-    read_container,
     save_model,
     StepWorkspace,
     forward_backward,
-    write_container,
 )
 from conftest import filled_workspace, step_on
 from oracles import bce_oracle, cross_entropy_oracle, finite_difference, objective_oracle
@@ -488,53 +488,17 @@ class TestCheckpoint:
         path = tmp_path / "junk.clre"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
-            read_container(str(path))
+            load_model(str(path))
 
     def test_unsupported_version_rejected(self, tmp_path):
-        import struct
-
-        path = tmp_path / "future.clre"
-        path.write_bytes(b"CLRE" + struct.pack("<III", 99, 2, 2))
-        with pytest.raises(ValueError, match="version"):
-            read_container(str(path))
-
-    def test_missing_tensor_rejected(self, tmp_path):
-        m = mini_model()
-        params = {n: m.tape.param(n) for n in m.tape.names() if n != "cls_w"}
-        path = str(tmp_path / "partial.clre")
-        write_container(path, m.class_no, m.d_z, params)
-        with pytest.raises(ValueError, match="cls_w"):
-            load_model(path)
-
-    def test_weight_of_the_wrong_rank_is_named(self, tmp_path):
-        m = mini_model()
-        params = {n: m.tape.param(n) for n in m.tape.names()}
-        params["enc_w1"] = params["enc_w1"].ravel()
-        path = str(tmp_path / "flat.clre")
-        write_container(path, m.class_no, m.d_z, params)
-        with pytest.raises(ValueError, match="tensor 'enc_w1' must be 2-d"):
-            load_model(path)
-
-    def test_misshapen_tensor_outside_the_architecture_is_named(self, tmp_path):
-        # The architecture is read from the encoder and decoder layer 1 and 2
-        # weights; every other tensor is checked against the model they build.
-        m = mini_model()
-        for name in ("cls_w", "enc_wlv", "dec_w3", "dec_b1"):
-            params = {n: m.tape.param(n) for n in m.tape.names()}
-            params[name] = params[name][:-1]
-            path = str(tmp_path / f"{name}.clre")
-            write_container(path, m.class_no, m.d_z, params)
-            with pytest.raises(ValueError, match=f"shape mismatch for {name!r}"):
-                load_model(path)
-
-    def test_unknown_tensor_is_named(self, tmp_path):
-        m = mini_model()
-        params = {n: m.tape.param(n) for n in m.tape.names()}
-        params["junk"] = np.zeros(3)
-        path = str(tmp_path / "extra.clre")
-        write_container(path, m.class_no, m.d_z, params)
-        with pytest.raises(ValueError, match="unknown tensor 'junk'"):
-            load_model(path)
+        # Version 1 was the named-tensor format, which nothing reads now. A
+        # short file of another version names the version, not the length.
+        path = tmp_path / "other.clre"
+        for version, size in ((1, 600), (99, 4)):
+            path.write_bytes(b"CLRE" + struct.pack("<III", version, 2, 2) + b"\x00" * size)
+            with pytest.raises(ValueError,
+                               match=f"unsupported checkpoint version {version}, expected 2"):
+                load_model(str(path))
 
     @pytest.mark.parametrize("cut", [10, 18, 30, 200])
     def test_truncation_names_offset_and_tensor(self, tmp_path, cut):
@@ -545,20 +509,68 @@ class TestCheckpoint:
         with open(path, "wb") as fh:
             fh.write(data[:cut])
         with pytest.raises(ValueError, match=r"truncated checkpoint: .* at offset \d+") as err:
-            read_container(path)
-        if cut > 16 + 4 + len("enc_w1"):
+            load_model(path)
+        if cut > 36:
             assert "of tensor 'enc_w1'" in str(err.value)
 
-    def test_container_keeps_arbitrary_tensors(self, tmp_path):
-        rng = np.random.default_rng(27)
-        params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
-        path = str(tmp_path / "pair.clre")
-        write_container(path, 7, 2, params)
-        class_no, d_z, back = read_container(path)
-        assert (class_no, d_z) == (7, 2)
-        assert set(back) == {"a", "b"}
-        for name in params:
-            assert np.array_equal(back[name], params[name])
+    def test_trailing_byte_is_rejected_at_its_offset(self, tmp_path):
+        path = tmp_path / "long.clre"
+        save_model(mini_model(30), str(path))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"trailing bytes .* at offset {size}, file has {size + 1}"):
+            load_model(str(path))
+
+    def test_layout_is_pinned_by_a_hand_encoded_file(self, tmp_path):
+        # Every dimension 1: the 36-byte header, then 18 float64 values, the
+        # i-th of which is i. Tensors are laid out in tape order, rows first,
+        # and the class columns of enc_w1 and dec_w1 come last.
+        header = b"CLRE" + b"\x02\x00\x00\x00" + b"\x01\x00\x00\x00" * 7
+        data = header + struct.pack("<18d", *range(18))
+        path = tmp_path / "unit.clre"
+        path.write_bytes(data)
+        m = load_model(str(path))
+        assert (m.class_no, m.d_z, m.input_dim) == (1, 1, 1)
+        assert m.enc_hidden == m.dec_hidden == (1, 1)
+        want = {
+            "enc_w1": [[0.0, 1.0]], "enc_b1": [2.0], "enc_wmu": [[5.0]],
+            "enc_blv": [8.0], "cls_w": [[9.0]], "cls_b": [10.0],
+            "dec_w1": [[11.0, 12.0]], "dec_w3": [[16.0]], "dec_b3": [17.0],
+        }
+        for name, value in want.items():
+            assert np.array_equal(m.tape.param(name), value), name
+        again = tmp_path / "again.clre"
+        save_model(m, str(again))
+        assert again.read_bytes() == data
+
+    def test_huge_header_widths_are_rejected_before_allocating(self, tmp_path):
+        header = struct.pack("<4s8I", b"CLRE", 2, 2, 2, 6, 2**31, 7, 7, 8)
+        path = tmp_path / "huge.clre"
+        path.write_bytes(header + b"\x00" * (100 - len(header)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload of tensor 'enc_w1'"):
+                load_model(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize(
+        "class_no, d_z, message",
+        [(0, 2, "class_no must be >= 1"), (2, 257, "d_z must be in")],
+    )
+    def test_header_dimensions_the_model_rejects(self, tmp_path, class_no, d_z, message):
+        dims = dict(MINI, class_no=class_no, d_z=d_z)
+        size = sum(math.prod(shape) for _, shape in model_mod._param_shapes(**dims))
+        header = struct.pack(
+            "<4s8I", b"CLRE", 2, class_no, d_z, dims["input_dim"],
+            *dims["enc_hidden"], *dims["dec_hidden"],
+        )
+        path = tmp_path / "bad.clre"
+        path.write_bytes(header + b"\x00" * (8 * size))
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
 
 
 @pytest.fixture(scope="module")

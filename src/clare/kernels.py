@@ -20,8 +20,9 @@ import os
 
 import numpy as np
 
-# Sigmoid outputs are clamped to the open unit interval so downstream
-# log() calls can never see an exact 0 or 1.
+# Sigmoid outputs are clamped so decoded pixels (replay images) stay strictly
+# inside (0, 1): unclamped, a logit past about 36.7 gives exactly 1.0. The
+# clamp moves every output whose logit lies beyond about +-27.6.
 UNIT_EPS = 1e-12
 
 # Smallest positive normal float; softmax probabilities are floored here so

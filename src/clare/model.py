@@ -147,9 +147,13 @@ class ClareModel:
 
     # -- forward passes ----------------------------------------------------
 
-    def decode(self, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Reconstruct pixel probabilities from latents and one-hot codes."""
-        return decoder_forward(self.tape.param, self.d_z, z, c)
+    @property
+    def output_dim(self) -> int:
+        return self.input_dim
+
+    def decode(self, z: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Pixel probabilities from latents and one-hot codes, into ``out`` if given."""
+        return decoder_forward(self.tape.param, self.d_z, z, c, out)
 
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         """Classifier logits from the zero-condition latent mean.

@@ -3,8 +3,8 @@
 Classes arrive in fixed-size groups. Each increment merges synthetic
 replay of everything learned so far with the new group's real data,
 retrains the joint model (from scratch by default, warm-started on
-request), snapshots the decoder for the next round, and evaluates on the
-held-out split restricted to the classes seen so far.
+request), and evaluates on the held-out split restricted to the classes
+seen so far. Only the trained model crosses to the next increment's replay.
 
 Class ids are compacted: the model always works on dense ids
 ``0..class_no-1`` in arrival order, and the state keeps the dense-to-
@@ -23,7 +23,7 @@ from .config import ExperimentConfig
 from .dataio import LabeledDataset, subset_by_classes
 from .metrics import evaluate
 from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
-from .replay import DecoderSnapshot, balance_counts, generate_replay, take_snapshot
+from .replay import balance_counts, generate_replay
 
 TRACE_KEYS = ("total", "classification", "reconstruction", "kl")
 
@@ -33,7 +33,6 @@ class Schedule:
     """Ordered groups of original class labels."""
 
     groups: list[list[int]]
-    g: int
 
 
 def build_schedule(class_ids: list[int], g: int) -> Schedule:
@@ -49,7 +48,7 @@ def build_schedule(class_ids: list[int], g: int) -> Schedule:
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate class ids in schedule")
     groups = [ids[i : i + g] for i in range(0, len(ids), g)]
-    return Schedule(groups=groups, g=g)
+    return Schedule(groups=groups)
 
 
 @dataclass
@@ -69,11 +68,11 @@ class IncrementState:
     """Everything carried between increments.
 
     ``learned`` is the dense-to-original label map: position = dense id.
+    ``model`` is the last increment's model; the next one replays from it.
     """
 
     learned: list[int] = field(default_factory=list)
     model: ClareModel | None = None
-    snapshot: DecoderSnapshot | None = None
     history: list[MetricsRecord] = field(default_factory=list)
 
 
@@ -88,15 +87,11 @@ def train_model(
     labels: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
-    rows: np.ndarray | None = None,
 ) -> dict[str, list[float]]:
     """Minimize the joint objective with shuffled minibatches.
 
-    ``rows`` is an optional row map: training then runs on
-    ``images[rows]``, ``labels[rows]`` without making that copy, because
-    each step gathers its batch through the map. Without it, every row
-    trains in stored order. Entries outside ``[0, len(images))`` raise
-    ``ValueError`` before the first step.
+    Each step gathers its batch through a row order drawn from ``rng``
+    first, so the images are never copied; a rejected call draws nothing.
 
     Returns per-epoch means of each loss component. One optimizer lives for
     the whole call; a fresh one is created per increment because class
@@ -113,18 +108,10 @@ def train_model(
             f"images and labels differ in length: {images.shape[0]} images, "
             f"{labels.shape[0]} labels"
         )
-    rows = np.arange(images.shape[0]) if rows is None else np.asarray(rows)
-    # gather() clips out-of-range rows instead of failing, so check here.
-    if rows.ndim != 1 or rows.dtype.kind not in "iu":
-        raise ValueError(f"row map must be 1-d integers, got {rows.dtype} of shape {rows.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= images.shape[0]):
-        raise ValueError(
-            f"row map entries must lie in [0, {images.shape[0]}), "
-            f"got {int(rows.min())}..{int(rows.max())}"
-        )
-    n = rows.shape[0]
+    n = images.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
+    rows = rng.permutation(n)
     state = nk.OptimizerState(config.optimizer, config.lr)
     workspaces: dict[int, StepWorkspace] = {}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
@@ -163,14 +150,15 @@ def run_increment(
     seed: int,
     on_replay=None,
 ) -> IncrementState:
-    """One increment: replay, merge, retrain, snapshot, evaluate.
+    """One increment: replay, merge, retrain, evaluate.
 
-    ``seed`` is this phase's derived seed. ``on_replay`` (when given) sees
-    the generated buffer before training, for inspection dumps, with the
-    original class labels; training uses the dense ids. Returns a new
-    state. A warm start takes the model out of the input state (its
-    ``model`` becomes ``None``) once ``expand_classes`` has copied it, so
-    the old parameters are freed before training; nothing else in the input
+    ``seed`` is this phase's derived seed. Replay decodes from the input
+    state's model. ``on_replay`` (when given) sees the generated buffer
+    before training, for inspection dumps, with the original class labels;
+    training uses the dense ids. Returns a new state. Once replay is made,
+    the model is taken out of the input state (its ``model`` becomes
+    ``None``) in either start mode, so the old parameters are freed before
+    training; a warm start expands them first. Nothing else in the input
     state changes.
     """
     if new_group_data.n == 0:
@@ -196,8 +184,8 @@ def run_increment(
     started = time.perf_counter()
 
     if state.learned and config.replay:
-        if state.snapshot is None:
-            raise ValueError("state has learned classes but no decoder snapshot")
+        if state.model is None:
+            raise ValueError("state has learned classes but no model to replay from")
         new_counts = {
             dense_of[orig]: int(rows.size)
             for orig, rows in new_group_data.class_index.items()
@@ -207,7 +195,7 @@ def run_increment(
         # are copied into its tail.
         n_replay = sum(counts.values())
         train_x = np.empty((n_replay + new_group_data.n, new_group_data.dim))
-        buffer = generate_replay(state.snapshot, counts, replay_seed, out=train_x[:n_replay])
+        buffer = generate_replay(state.model, counts, replay_seed, out=train_x[:n_replay])
         train_x[n_replay:] = new_x
         train_y = np.concatenate([buffer.labels, new_y])
         if on_replay is not None:
@@ -215,13 +203,10 @@ def run_increment(
         del buffer
     else:
         train_x, train_y = new_x, new_y
-    # The shuffle is a row map, not a copy; drawing it here keeps the
-    # training stream where it was.
-    order = train_rng.permutation(train_x.shape[0])
 
-    if config.start == "warm" and state.model is not None:
-        model = expand_classes(state.model, len(learned), init_rng)
-        state.model = None
+    previous, state.model = state.model, None
+    if config.start == "warm" and previous is not None:
+        model = expand_classes(previous, len(learned), init_rng)
     else:
         model = ClareModel(
             class_no=len(learned),
@@ -231,12 +216,14 @@ def run_increment(
             dec_hidden=config.dec_hidden,
             rng=init_rng,
         )
+    del previous
 
     try:
-        trace = train_model(model, train_x, train_y, config, train_rng, rows=order)
+        trace = train_model(model, train_x, train_y, config, train_rng)
     except nk.NonFiniteError as err:
         raise nk.NonFiniteError(f"increment {phase}: {err}") from err
-    snapshot = take_snapshot(model, increment=phase)
+    # The seen test rows are copied next; the training array goes first.
+    del train_x, train_y
 
     seen_test = subset_by_classes(test_data, learned)
     dense_test = np.array([dense_of[int(y)] for y in seen_test.labels], dtype=np.int64)
@@ -254,7 +241,6 @@ def run_increment(
     return IncrementState(
         learned=learned,
         model=model,
-        snapshot=snapshot,
         history=list(state.history) + [record],
     )
 
@@ -271,10 +257,6 @@ def run_experiment(
     config = config.resolved()
     state = IncrementState()
     for phase, group in enumerate(schedule.groups):
-        if config.start != "warm":
-            # A scratch start needs only the decoder snapshot; dropping the
-            # model keeps two models' parameters and gradients from coexisting.
-            state = replace(state, model=None)
         group_data = subset_by_classes(train_data, group)
         state = run_increment(
             state, group_data, test_data, config, _phase_seed(seed, phase), on_replay

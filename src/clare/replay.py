@@ -1,9 +1,10 @@
-"""Generative replay: frozen decoder snapshots and balanced sample synthesis.
+"""Generative replay: balanced sample synthesis from a trained decoder.
 
-After each increment the decoder is snapshotted. Before the next one, the
-snapshot turns latent prior draws plus one-hot class codes into synthetic
-images of every class learned so far, sized to match the incoming real
-data, so retraining sees a balanced mix and old classes survive.
+Before each increment, the previous increment's model turns latent prior
+draws plus one-hot class codes into synthetic images of every class
+learned so far, sized to match the incoming real data, so retraining sees a
+balanced mix and old classes survive. A ``DecoderSnapshot``, a frozen copy
+of a model's decoder, replays the same way.
 
 Generation decodes each class's draws straight into its rows of one result
 array with one ``decode`` call; the decoder runs them in chunks (see
@@ -96,15 +97,16 @@ def balance_counts(
 
 
 def generate_replay(
-    snapshot: DecoderSnapshot,
+    decoder: ClareModel | DecoderSnapshot,
     per_class_counts: Mapping[int, int],
     seed: int,
     out: np.ndarray | None = None,
 ) -> ReplayBuffer:
     """Decode prior draws into a labeled buffer of synthetic images.
 
-    Each class consumes its own generator stream keyed on ``(seed, class)``,
-    so the samples produced for a class do not depend on which other classes
+    ``decoder`` is a model or a snapshot of one; both decode alike. Each
+    class consumes its own generator stream keyed on ``(seed, class)``, so
+    the samples produced for a class do not depend on which other classes
     were requested or on the mapping's iteration order. Classes are
     assembled in sorted order. The whole request, and the shape of ``out``
     when given, is checked before anything is decoded; each class's draws
@@ -114,14 +116,14 @@ def generate_replay(
     classes = sorted(per_class_counts)
     for cls in classes:
         count = per_class_counts[cls]
-        if not 0 <= cls < snapshot.class_no:
+        if not 0 <= cls < decoder.class_no:
             raise ValueError(
-                f"class {cls} outside snapshot range [0, {snapshot.class_no})"
+                f"class {cls} outside decoder range [0, {decoder.class_no})"
             )
         if count < 0:
             raise ValueError(f"count for class {cls} must be >= 0, got {count}")
     counts = [per_class_counts[cls] for cls in classes]
-    shape = (sum(counts), snapshot.output_dim)
+    shape = (sum(counts), decoder.output_dim)
     if out is not None and (out.shape != shape or out.dtype != np.float64):
         raise ValueError(
             f"replay output must be float64 of shape {shape}, "
@@ -132,8 +134,8 @@ def generate_replay(
     row = 0
     for cls, count in zip(classes, counts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, cls]))
-        z = rng.standard_normal((count, snapshot.d_z))
-        c = one_hot(np.full(count, cls), snapshot.class_no)
-        snapshot.decode(z, c, out=images[row : row + count])
+        z = rng.standard_normal((count, decoder.d_z))
+        c = one_hot(np.full(count, cls), decoder.class_no)
+        decoder.decode(z, c, out=images[row : row + count])
         row += count
     return ReplayBuffer(images=images, labels=labels)

@@ -641,6 +641,32 @@ class TestCli:
             done.stderr, re.MULTILINE,
         ), done.stderr
 
+    def test_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # The quick-start with two seeds, each in a fresh process at 1 and at
+        # 2 OpenBLAS threads: only the output path and the wall-clock lines
+        # may differ.
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report-{threads}.txt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
+            done = subprocess.run(
+                [sys.executable, "-c", "from clare.harness import main; main()",
+                 "--dataset", "toy", "--g", "1", "--seeds", "7,8", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            lines = out.read_text(encoding="utf-8").splitlines()
+            kept = [
+                line for line in lines
+                if not (line.startswith("config.out_path = ")
+                        or line.split(" = ", 1)[0].endswith("seconds"))
+            ]
+            # One out_path line, one seconds line per record, and the total.
+            assert len(lines) - len(kept) == 1 + 2 * 3 + 1
+            reports.append(kept)
+        assert reports[0] == reports[1]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         # Valid settings that diverge at the second step: a failure of the

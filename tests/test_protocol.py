@@ -15,7 +15,14 @@ from clare import numkit as nk
 from clare import protocol
 from clare.config import ExperimentConfig
 from clare.dataio import LabeledDataset, make_toy_dataset, subset_by_classes
-from clare.model import ClareModel, StepWorkspace, expand_classes, forward_backward
+from clare.model import (
+    ClareModel,
+    StepWorkspace,
+    expand_classes,
+    forward_backward,
+    load_model,
+    save_model,
+)
 from clare.protocol import (
     IncrementState,
     _phase_seed,
@@ -26,7 +33,7 @@ from clare.protocol import (
     run_joint_baseline,
     train_model,
 )
-from clare.replay import take_snapshot
+from clare.replay import generate_replay
 
 # Small enough to train in well under a second per increment.
 FAST = ExperimentConfig(
@@ -56,7 +63,6 @@ class TestBuildSchedule:
     def test_even_split(self):
         s = build_schedule(list(range(10)), g=5)
         assert s.groups == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
-        assert s.g == 5
 
     def test_single_group(self):
         assert build_schedule(list(range(10)), g=10).groups == [list(range(10))]
@@ -85,7 +91,6 @@ class TestRunIncrement:
         )
         assert state.learned == [0]
         assert state.model is not None and state.model.class_no == 1
-        assert state.snapshot is not None
         record = state.history[-1]
         assert record.increment == 0
         assert record.classes_seen == [0]
@@ -139,14 +144,30 @@ class TestRunIncrement:
         with pytest.raises(ValueError, match="empty"):
             run_increment(IncrementState(), subset_by_classes(train, []), test, FAST, 7)
 
-    def test_replay_requires_snapshot(self, data):
+    def test_replay_requires_a_model(self, data):
         train, test = data
         state = run_increment(
             IncrementState(), subset_by_classes(train, [0]), test, FAST, 8
         )
-        state.snapshot = None
-        with pytest.raises(ValueError, match="snapshot"):
+        state.model = None
+        with pytest.raises(ValueError, match="no model to replay from"):
             run_increment(state, subset_by_classes(train, [1]), test, FAST, 9)
+        assert state.learned == [0] and len(state.history) == 1
+
+    @pytest.mark.parametrize("start", ["scratch", "warm"])
+    def test_a_saved_model_continues_the_run_identically(self, data, start, tmp_path):
+        # The model is the only state besides the label map and the records.
+        train, test = data
+        config = replace(FAST, start=start)
+        first = run_increment(IncrementState(), subset_by_classes(train, [0]), test, config, 71)
+        path = str(tmp_path / "model.clre")
+        save_model(first.model, path)
+        resumed = IncrementState(first.learned, load_model(path), first.history)
+        want = run_increment(first, subset_by_classes(train, [1]), test, config, 72)
+        got = run_increment(resumed, subset_by_classes(train, [1]), test, config, 72)
+        assert got.history[-1].trace == want.history[-1].trace
+        assert got.history[-1].per_class == want.history[-1].per_class
+        assert np.array_equal(got.model.tape.flat_params, want.model.tape.flat_params)
 
     def test_on_replay_sees_balanced_buffers(self, data):
         train, test = data
@@ -246,13 +267,15 @@ class TestStepWorkspace:
                               dec_hidden=(10, 12), rng=np.random.default_rng(6))
 
         # Reference: a fresh workspace for every step, so nothing carries over.
+        # train_model first draws a row order, then shuffles it each epoch.
         want = fresh_model()
         state = nk.OptimizerState(config.optimizer, config.lr)
         ref_rng = np.random.default_rng(7)
+        order = ref_rng.permutation(40)
         for _ in range(config.epochs):
             for idx in nk.iter_minibatches(40, config.batch_size, ref_rng):
                 self._step(want, StepWorkspace(want, idx.shape[0]), state, images, labels,
-                           idx, ref_rng)
+                           order[idx], ref_rng)
 
         made, seen = [], []
 
@@ -389,67 +412,44 @@ class TestRunExperiment:
         assert set(records[1].per_class) == {0, 1, 2}
 
 
-class TestRowMap:
-    def _train(self, images, labels, rows=None):
-        model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
-                           dec_hidden=(10, 12), rng=np.random.default_rng(6))
-        trace = train_model(model, images, labels, replace(FAST, epochs=2),
-                            np.random.default_rng(7), rows=rows)
-        return trace, model.tape.flat_params
-
-    @pytest.mark.parametrize("take", [40, 25])
-    def test_row_map_trains_like_the_gathered_copy(self, take):
-        rng = np.random.default_rng(5)
-        images = rng.uniform(size=(40, 4))
-        labels = rng.integers(0, 3, size=40)
-        order = rng.permutation(40)[:take]
-        want_trace, want = self._train(images[order], labels[order])
-        got_trace, got = self._train(images, labels, rows=order)
-        assert got_trace == want_trace
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "rows", [np.array([0, 40, 3]), np.array([-1, 2]), np.array([[0, 1]]), np.array([0.0, 1.0])]
-    )
-    def test_bad_row_map_rejected_before_the_first_step(self, rows):
-        # gather() clips row indices, so a row past the end would silently
-        # train on the last image.
-        model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
-                           dec_hidden=(10, 12), rng=np.random.default_rng(0))
-        before = model.tape.flat_params.copy()
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="row map"):
-            train_model(model, np.zeros((40, 4)), np.zeros(40, dtype=np.int64), FAST, rng,
-                        rows=rows)
-        assert rng.bit_generator.state == state
-        assert np.array_equal(model.tape.flat_params, before)
-
-
 class TestIncrementMemory:
-    def test_peak_is_one_training_array_plus_model_state(self):
-        # 9 replayed classes x 300 rows plus 300 new rows, 784 wide, on a
-        # network small enough that the data dominates.
+    # 9 replayed classes x 300 rows plus 300 new rows, 784 wide, on a
+    # network small enough that the data dominates.
+    TRAIN_BYTES = (9 * 300 + 300) * 784 * 8
+    ARCH = dict(d_z=FAST.d_z, input_dim=784, enc_hidden=(8, 8), dec_hidden=(8, 8))
+
+    def _peak(self, test_rows):
         config = replace(FAST, epochs=1, enc_hidden=(8, 8), dec_hidden=(8, 8))
-        arch = dict(d_z=config.d_z, input_dim=784, enc_hidden=(8, 8), dec_hidden=(8, 8))
         rng = np.random.default_rng(3)
-        old = ClareModel(class_no=9, rng=rng, **arch)
-        state = IncrementState(learned=list(range(9)), snapshot=take_snapshot(old, increment=0))
+        state = IncrementState(
+            learned=list(range(9)), model=ClareModel(class_no=9, rng=rng, **self.ARCH)
+        )
         group = LabeledDataset(rng.uniform(size=(300, 784)), np.full(300, 9))
-        test = LabeledDataset(rng.uniform(size=(20, 784)), np.arange(20) % 10)
-        train_bytes = (9 * 300 + 300) * 784 * 8
-        # Parameters, gradients and Adam's two moments of the 10-class model.
-        state_bytes = 4 * ClareModel(class_no=10, **arch).tape.flat_params.nbytes
+        test = LabeledDataset(rng.uniform(size=(test_rows, 784)), np.arange(test_rows) % 10)
         tracemalloc.start()
         try:
             run_increment(state, group, test, config, 19)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 1.5 * train_bytes + state_bytes
+
+    def test_peak_is_one_training_array_plus_model_state(self):
+        peak = self._peak(test_rows=20)
+        # Parameters, gradients and Adam's two moments of the 10-class model.
+        state_bytes = 4 * ClareModel(class_no=10, **self.ARCH).tape.flat_params.nbytes
+        bound = 1.5 * self.TRAIN_BYTES + state_bytes
         assert peak < bound, (
             f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB, "
-            f"training array {train_bytes / 2**20:.2f} MiB"
+            f"training array {self.TRAIN_BYTES / 2**20:.2f} MiB"
+        )
+
+    def test_training_array_is_freed_before_the_seen_test_rows_are_copied(self):
+        # The seen test split is as large as the training array; were both
+        # alive at once, evaluation would set the peak at about twice it.
+        peak = self._peak(test_rows=3000)
+        assert peak < 1.5 * self.TRAIN_BYTES, (
+            f"peak {peak / 2**20:.2f} MiB, "
+            f"training array {self.TRAIN_BYTES / 2**20:.2f} MiB"
         )
 
 
@@ -491,12 +491,24 @@ class TestModelLifetime:
         run_finetune_baseline(train, test, build_schedule([0, 1, 2], g=1), FAST, seed=62)
         assert reachable == [[], [False], [False, False]]
 
-    def test_warm_increment_hands_over_the_input_model(self, data):
+    @pytest.mark.parametrize("start", ["warm", "scratch"])
+    def test_increment_hands_over_the_input_model(self, data, start, monkeypatch):
+        # Replay decodes from the input model; after that run_increment takes
+        # it out of the input state in either start mode.
         train, test = data
-        config = replace(FAST, start="warm")
+        config = replace(FAST, start=start)
         first = run_increment(IncrementState(), subset_by_classes(train, [0]), test, config, 63)
         learned, history = list(first.learned), list(first.history)
+        decoders = []
+
+        def spy(decoder, *args, **kwargs):
+            decoders.append(decoder)
+            return generate_replay(decoder, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "generate_replay", spy)
+        model = first.model
         second = run_increment(first, subset_by_classes(train, [1]), test, config, 64)
+        assert decoders == [model]
         assert first.model is None
         assert first.learned == learned and first.history == history
         assert second.model.class_no == 2

@@ -148,6 +148,19 @@ class TestGenerateReplay:
         buf = generate_replay(snap, {0: 0, 1: 4}, seed=0)
         assert Counter(buf.labels.tolist()) == {1: 4}
 
+    def test_a_model_replays_exactly_like_its_snapshot(self):
+        # An increment replays from the previous model itself.
+        m = small_model(17)
+        snap = take_snapshot(m, increment=0)
+        assert m.output_dim == snap.output_dim == 6
+        counts = {0: 1100, 2: 7}
+        want = generate_replay(snap, counts, seed=4)
+        out = np.empty((1107, 6))
+        got = generate_replay(m, counts, seed=4, out=out)
+        assert got.images is out
+        assert np.array_equal(got.images, want.images)
+        assert np.array_equal(got.labels, want.labels)
+
     def test_unknown_class_rejected(self):
         snap = take_snapshot(small_model(13), increment=0)
         with pytest.raises(ValueError, match="outside"):

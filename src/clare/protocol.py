@@ -53,7 +53,7 @@ def build_schedule(class_ids: list[int], g: int) -> Schedule:
 
 @dataclass
 class MetricsRecord:
-    """Evaluation snapshot after one increment; labels are originals."""
+    """Evaluation record after one increment; labels are originals."""
 
     increment: int
     classes_seen: list[int]
@@ -158,8 +158,9 @@ def run_increment(
     training uses the dense ids. Returns a new state. Once replay is made,
     the model is taken out of the input state (its ``model`` becomes
     ``None``) in either start mode, so the old parameters are freed before
-    training; a warm start expands them first. Nothing else in the input
-    state changes.
+    training: a scratch start frees them before it allocates new ones, a
+    warm start once it has expanded them. Nothing else in the input state
+    changes.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -208,6 +209,9 @@ def run_increment(
     if config.start == "warm" and previous is not None:
         model = expand_classes(previous, len(learned), init_rng)
     else:
+        # Replay was the old model's last use: free it before the new
+        # parameters are allocated, so two models never share the heap.
+        previous = None
         model = ClareModel(
             class_no=len(learned),
             d_z=config.d_z,

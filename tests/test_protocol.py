@@ -454,19 +454,24 @@ class TestIncrementMemory:
 
 
 class TestModelLifetime:
-    def test_scratch_start_drops_the_previous_model_before_training(self, data, monkeypatch):
+    def test_scratch_start_drops_the_previous_model_before_building_the_next(
+        self, data, monkeypatch
+    ):
+        # Replay is the old model's last use; kept until the new one is
+        # allocated (let alone trained), two models' parameters would share
+        # the heap.
         train, test = data
         refs, reachable = [], []
 
-        def spy(model, *args, **kwargs):
+        def build(*args, **kwargs):
             gc.collect()
             reachable.append([ref() is not None for ref in refs])
+            model = ClareModel(*args, **kwargs)
             refs.append(weakref.ref(model))
-            return train_model(model, *args, **kwargs)
+            return model
 
-        monkeypatch.setattr(protocol, "train_model", spy)
+        monkeypatch.setattr(protocol, "ClareModel", build)
         run_experiment(train, test, build_schedule([0, 1, 2], g=1), FAST, seed=61)
-        # Which earlier models were still reachable as each increment trained.
         assert reachable == [[], [False], [False, False]]
 
     def test_warm_start_drops_the_previous_model_before_training(self, data, monkeypatch):

@@ -34,7 +34,6 @@ class ExperimentConfig:
     epochs: int | None = None
     batch_size: int = 128
     lr: float = 1e-3
-    optimizer: str = "adam"
     d_z: int = 64
     beta: float = 1.0
     replay: bool = True
@@ -60,8 +59,6 @@ class ExperimentConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if not 1 <= self.d_z <= MAX_LATENT_DIM:
             raise ValueError(f"d_z (latent dim) must be in [1, {MAX_LATENT_DIM}], got {self.d_z}")
         for name in ("enc_hidden", "dec_hidden"):
@@ -146,7 +143,7 @@ def parse_field(name: str, raw: str):
     if name not in CONFIG_KEYS:
         raise ValueError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if name in ("dataset", "optimizer", "start", "data_dir", "out_path"):
+    if name in ("dataset", "start", "data_dir", "out_path"):
         return raw
     if name == "replay":
         if raw not in ("on", "off"):

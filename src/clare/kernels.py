@@ -1,4 +1,4 @@
-"""Hot elementwise numeric kernels: activations, fused losses, optimizers.
+"""Hot elementwise numeric kernels: activations, fused losses, the Adam update.
 
 Each kernel is one vectorized numpy function. Matrix products are
 deliberately *not* here: they stay on numpy's BLAS, where a hand-rolled loop
@@ -29,7 +29,7 @@ UNIT_EPS = 1e-12
 # rows stay strictly positive even for extreme logit gaps.
 _TINY = np.finfo(np.float64).tiny
 
-# Elements per block of the in-place numpy passes (Adam, SGD, sigmoid):
+# Elements per block of the in-place numpy passes (Adam, sigmoid):
 # small enough that a block of every operand and scratch buffer stays in
 # cache.
 BLOCK = 1 << 15
@@ -186,25 +186,6 @@ def adam_step(
         np.divide(b, a, out=b)
         np.subtract(pb, b, out=pb)
         finite = finite and all_finite(pb, scratch_a) and all_finite(vb, scratch_a)
-    return finite
-
-
-def sgd_step(
-    p: np.ndarray, g: np.ndarray, lr: float, scratch: np.ndarray | None = None
-) -> bool:
-    # In place over blocks, ``lr * g`` held in the first row of ``scratch``
-    # (allocated here when not given): per element exactly p - lr*g.
-    # Returns whether every updated entry of ``p`` is finite.
-    n = p.shape[0]
-    if scratch is None:
-        scratch = np.empty((1, min(n, BLOCK)))
-    finite = True
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        a = scratch[0, : stop - start]
-        np.multiply(g[start:stop], lr, out=a)
-        np.subtract(p[start:stop], a, out=p[start:stop])
-        finite = finite and all_finite(p[start:stop], scratch[0])
     return finite
 
 

@@ -1,4 +1,4 @@
-"""Parameter store, the linear layer and optimizers over float64 numpy arrays.
+"""Parameter store, the linear layer and the Adam optimizer over float64 numpy arrays.
 
 ``ParamTape`` holds every named parameter and its gradient as views into
 two flat buffers. ``linear_backward`` writes a layer's weight and bias
@@ -111,7 +111,7 @@ def linear_backward(g, x, w, dw, db, dx=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# init and optimizers
+# init and optimizer
 # ---------------------------------------------------------------------------
 
 
@@ -130,26 +130,22 @@ def glorot_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
 
 
 class OptimizerState:
-    """Plain SGD or bias-corrected Adam over a ParamTape.
+    """Bias-corrected Adam over a ParamTape.
 
     Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; its two
-    moments are flat vectors matching the tape's flat buffers. Both kinds
-    update in place over blocks whose temporaries are rows of ``scratch``:
-    each worker of ``optimizer_step`` owns two rows for Adam and one for SGD.
-    Moments and scratch are allocated on the first step and reused after it.
-    The step counter is shared.
+    moments are flat vectors matching the tape's flat buffers. The update
+    runs in place over blocks whose temporaries are rows of ``scratch``:
+    each worker of ``optimizer_step`` owns two rows. Moments and scratch are
+    allocated on the first step and reused after it.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, kind: str, lr: float):
-        if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {kind!r}")
+    def __init__(self, lr: float):
         if not (math.isfinite(lr) and lr > 0.0):
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
-        self.kind = kind
         self.lr = lr
         self.step = 0
         self.m: np.ndarray | None = None
@@ -163,10 +159,10 @@ SPLIT_MIN = 4 * kernels.BLOCK
 
 
 def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None = None) -> None:
-    """Update every tape parameter in place from its gradient.
+    """Update every tape parameter in place from its gradient with Adam.
 
-    Gradients are scanned before anything moves, and parameters (and Adam's
-    second moment) block by block as the update writes them; the update
+    Gradients are scanned before anything moves, and parameters and Adam's
+    second moment block by block as the update writes them; the update
     consumes the gradients, so the next one needs a new backward pass. A
     failed scan raises ``NonFiniteError`` naming the first tensor with a bad
     value.
@@ -181,19 +177,17 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
         raise RuntimeError("optimizer_step before backward: tape has no gradients")
     tape.populated = False
     p, g = tape.flat_params, tape.flat_grads
-    adam = state.kind == "adam"
     if _workers is None:
         _workers = kernels.workers() if p.size >= SPLIT_MIN else 1
     blocks = -(-p.size // kernels.BLOCK)
     parts = max(1, min(_workers, blocks))
-    # Adam's blocked pass takes two scratch rows per worker, SGD's one.
-    rows = 2 if adam else 1
-    shape = (parts * rows, min(p.size, kernels.BLOCK))
+    # Adam's blocked pass takes two scratch rows per worker.
+    shape = (parts * 2, min(p.size, kernels.BLOCK))
     if state.scratch is None or state.scratch.shape != shape:
         state.scratch = np.empty(shape)
     cuts = [min(p.size, blocks * k // parts * kernels.BLOCK) for k in range(parts + 1)]
     spans = [
-        (slice(cuts[k], cuts[k + 1]), state.scratch[k * rows : (k + 1) * rows])
+        (slice(cuts[k], cuts[k + 1]), state.scratch[2 * k : 2 * k + 2])
         for k in range(parts)
     ]
 
@@ -204,23 +198,20 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
     if not all(kernels.fork_join(grads_finite, spans)):
         tape.check_finite(g, "gradient of")
     state.step += 1
-    if adam and (state.m is None or state.m.shape != p.shape):
+    if state.m is None or state.m.shape != p.shape:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     m, v = state.m, state.v
 
     def update(span) -> bool:
         part, scratch = span
-        if adam:
-            return kernels.adam_step(
-                p[part], g[part], m[part], v[part], state.step, state.lr,
-                OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, scratch,
-            )
-        return kernels.sgd_step(p[part], g[part], state.lr, scratch)
+        return kernels.adam_step(
+            p[part], g[part], m[part], v[part], state.step, state.lr,
+            OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, scratch,
+        )
 
     if not all(kernels.fork_join(update, spans)):
         tape.check_finite(p, "parameter")
-        if adam:
-            tape.check_finite(v, "Adam second moment of")
+        tape.check_finite(v, "Adam second moment of")
 
 
 def iter_minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterable[np.ndarray]:

@@ -112,7 +112,7 @@ def train_model(
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     rows = rng.permutation(n)
-    state = nk.OptimizerState(config.optimizer, config.lr)
+    state = nk.OptimizerState(config.lr)
     workspaces: dict[int, StepWorkspace] = {}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
     parts: dict[str, float] = {}
@@ -159,8 +159,9 @@ def run_increment(
     the model is taken out of the input state (its ``model`` becomes
     ``None``) in either start mode, so the old parameters are freed before
     training: a scratch start frees them before it allocates new ones, a
-    warm start once it has expanded them. Nothing else in the input state
-    changes.
+    warm start once it has expanded them. This holds even when training then
+    fails, so a retry needs a model put back, e.g. from ``load_model``.
+    Nothing else in the input state changes.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -186,7 +187,12 @@ def run_increment(
 
     if state.learned and config.replay:
         if state.model is None:
-            raise ValueError("state has learned classes but no model to replay from")
+            raise ValueError(
+                "state has learned classes but no model to replay from; run_increment "
+                "takes the model out of the state it is given, even when the increment "
+                "then fails, so a retry needs the state it returned or "
+                "IncrementState(learned, load_model(path), history)"
+            )
         new_counts = {
             dense_of[orig]: int(rows.size)
             for orig, rows in new_group_data.class_index.items()

@@ -352,7 +352,7 @@ class TestTotalLoss:
         m = mini_model(15)
         x, labels, noise = self._batch(m, n=16)
         before = step_on(m, x, labels, noise)
-        nk.optimizer_step(m.tape, nk.OptimizerState("sgd", 1e-3))
+        nk.optimizer_step(m.tape, nk.OptimizerState(1e-3))
         after = step_on(m, x, labels, noise)
         assert after["total"] < before["total"]
 

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -205,33 +204,18 @@ def _set_quadratic_grad(tape: nk.ParamTape) -> None:
 
 
 class TestOptimizers:
-    def test_sgd_single_step(self):
-        tape = _tape_holding([[1.0]])
-        tape.grad("p")[...] = 2.0
-        tape.populated = True
-        nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
-        assert tape.param("p")[0, 0] == pytest.approx(0.8, abs=1e-15)
-
     @pytest.mark.parametrize("g", [0.001, 5.0, -37.0])
     def test_adam_first_step_has_lr_magnitude(self, g):
         tape = _tape_holding([[0.0]])
         tape.grad("p")[...] = g
         tape.populated = True
-        nk.optimizer_step(tape, nk.OptimizerState("adam", 0.01))
+        nk.optimizer_step(tape, nk.OptimizerState(0.01))
         step = tape.param("p")[0, 0]
         assert step == pytest.approx(-np.sign(g) * 0.01, rel=1e-4)
 
-    def test_sgd_converges_on_quadratic(self):
-        tape = _tape_holding([[0.0]])
-        state = nk.OptimizerState("sgd", 0.1)
-        for _ in range(100):
-            _set_quadratic_grad(tape)
-            nk.optimizer_step(tape, state)
-        assert tape.param("p")[0, 0] == pytest.approx(3.0, abs=1e-6)
-
     def test_adam_converges_on_quadratic(self):
         tape = _tape_holding([[0.0]])
-        state = nk.OptimizerState("adam", 0.1)
+        state = nk.OptimizerState(0.1)
         for _ in range(100):
             _set_quadratic_grad(tape)
             nk.optimizer_step(tape, state)
@@ -240,26 +224,24 @@ class TestOptimizers:
     def test_step_before_backward_rejected(self):
         tape = _tape_holding(np.ones(3))
         with pytest.raises(RuntimeError, match="before backward"):
-            nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
+            nk.optimizer_step(tape, nk.OptimizerState(0.1))
 
     def test_second_update_needs_fresh_gradients(self):
         tape = _tape_holding(np.ones((1, 1)))
         _set_quadratic_grad(tape)
-        state = nk.OptimizerState("sgd", 0.1)
+        state = nk.OptimizerState(0.1)
         nk.optimizer_step(tape, state)
         with pytest.raises(RuntimeError, match="before backward"):
             nk.optimizer_step(tape, state)
 
     def test_bad_optimizer_settings_rejected(self):
         with pytest.raises(ValueError):
-            nk.OptimizerState("momentum", 0.1)
-        with pytest.raises(ValueError):
-            nk.OptimizerState("sgd", 0.0)
+            nk.OptimizerState(0.0)
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="finite and positive"):
-            nk.OptimizerState("adam", lr)
+            nk.OptimizerState(lr)
 
 
 class TestTapeContracts:
@@ -312,7 +294,7 @@ class TestFlatStore:
     def test_flat_adam_is_bit_equal_to_the_per_tensor_formula(self):
         rng = np.random.default_rng(3)
         tape = _flat_tape(3)
-        state = nk.OptimizerState("adam", 1e-3)
+        state = nk.OptimizerState(1e-3)
         want = {
             name: (tape.param(name).copy(), np.zeros(shape), np.zeros(shape))
             for name, shape in FLAT_SHAPES
@@ -333,35 +315,6 @@ class TestFlatStore:
         assert np.array_equal(state.m, moments[0])
         assert np.array_equal(state.v, moments[1])
 
-    def test_flat_sgd_is_bit_equal_to_the_textbook_update(self):
-        for workers in (1, 2):
-            rng = np.random.default_rng(7)
-            tape = _flat_tape(7)
-            state = nk.OptimizerState("sgd", 0.03)
-            for _ in range(2):
-                tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size)
-                tape.populated = True
-                want = tape.flat_params - 0.03 * tape.flat_grads
-                nk.optimizer_step(tape, state, _workers=workers)
-                assert np.array_equal(tape.flat_params, want), workers
-            # One scratch row per worker.
-            assert state.scratch.shape == (workers, kernels.BLOCK)
-
-    def test_sgd_kernel_makes_no_full_size_temporary(self):
-        rng = np.random.default_rng(8)
-        n = 3 * kernels.BLOCK + 77
-        p, g = rng.standard_normal(n), rng.standard_normal(n)
-        want = p - 0.5 * g
-        scratch = np.empty((1, kernels.BLOCK))
-        tracemalloc.start()
-        try:
-            kernels.sgd_step(p, g, 0.5, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(p, want)
-        assert peak < p.nbytes // 16, f"peak {peak} bytes"
-
     def test_one_finite_check_per_buffer(self, monkeypatch):
         # Every scan reads a slice of one flat buffer. Gradients are scanned
         # before the update and parameters and Adam's second moment during
@@ -370,7 +323,7 @@ class TestFlatStore:
         real = kernels.all_finite
         for workers in (1, 2):
             tape = _flat_tape(4)
-            state = nk.OptimizerState("adam", 1e-3)
+            state = nk.OptimizerState(1e-3)
             tape.flat_grads[...] = 1.0
             tape.populated = True
             state.m, state.v = np.zeros_like(tape.flat_params), np.zeros_like(tape.flat_params)
@@ -399,21 +352,21 @@ class TestFlatStore:
         tape.grad("b2")[2] = np.nan
         tape.populated = True
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'b2'$"):
-            nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3))
+            nk.optimizer_step(tape, nk.OptimizerState(1e-3))
 
     def test_nan_in_parameter_buffer_is_named(self):
         tape = _flat_tape(6)
         tape.param("w2")[6, -1] = np.inf
         tape.populated = True
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
-            nk.optimizer_step(tape, nk.OptimizerState("sgd", 1e-3))
+            nk.optimizer_step(tape, nk.OptimizerState(1e-3))
 
 
-def _run_steps(kind: str, workers: int, steps: int = 3):
+def _run_steps(workers: int, steps: int = 3):
     """Seeded steps on a flat tape; returns the tape and optimizer state."""
     rng = np.random.default_rng(11)
     tape = _flat_tape(11)
-    state = nk.OptimizerState(kind, 1e-3)
+    state = nk.OptimizerState(1e-3)
     for _ in range(steps):
         scale = 10.0 ** rng.integers(-8, 3, tape.flat_grads.size)
         tape.flat_grads[...] = rng.standard_normal(tape.flat_grads.size) * scale
@@ -431,7 +384,7 @@ class TestSplitOptimizer:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_adam_matches_the_oracle_at_each_worker_count(self, workers):
-        tape, state = _run_steps("adam", workers)
+        tape, state = _run_steps(workers)
         ref = nk.ParamTape(FLAT_SHAPES)
         ref.flat_params[...] = _flat_tape(11).flat_params
         p, m, v = ref.flat_params, np.zeros_like(ref.flat_params), np.zeros_like(ref.flat_params)
@@ -448,29 +401,21 @@ class TestSplitOptimizer:
         assert np.array_equal(state.v, v)
         assert state.scratch.shape == (2 * workers, kernels.BLOCK)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sgd_matches_the_textbook_update_at_each_worker_count(self, workers):
-        tape, _ = _run_steps("sgd", workers, steps=1)
-        want = _flat_tape(11).flat_params - 1e-3 * tape.flat_grads
-        assert np.array_equal(tape.flat_params, want)
-
-    @pytest.mark.parametrize("kind", ["adam", "sgd"])
-    def test_results_do_not_depend_on_the_worker_count(self, kind):
-        one, two, default = (_run_steps(kind, w) for w in (1, 2, None))
+    def test_results_do_not_depend_on_the_worker_count(self):
+        one, two, default = (_run_steps(w) for w in (1, 2, None))
         for tape, state in (two, default):
             assert np.array_equal(tape.flat_params, one[0].flat_params)
-            if kind == "adam":
-                assert np.array_equal(state.m, one[1].m)
-                assert np.array_equal(state.v, one[1].v)
+            assert np.array_equal(state.m, one[1].m)
+            assert np.array_equal(state.v, one[1].v)
 
     def test_more_parts_than_cores_under_fast_thread_switching(self):
         # Parts beyond the pool's threads queue up; each writes only its own
         # slice, so no interleaving can change a bit.
-        want = _run_steps("adam", 1, steps=4)[0].flat_params
+        want = _run_steps(1, steps=4)[0].flat_params
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _run_steps("adam", 5, steps=4)[0].flat_params
+            got = _run_steps(5, steps=4)[0].flat_params
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
@@ -481,7 +426,7 @@ class TestSplitOptimizer:
         monkeypatch.setattr(
             kernels, "adam_step", lambda p, *args: (sizes.append(p.size), real(p, *args))[1]
         )
-        _run_steps("adam", 2, steps=1)
+        _run_steps(2, steps=1)
         assert len(sizes) == 2 and sum(sizes) == _flat_tape().flat_params.size
         assert sizes[0] % kernels.BLOCK == 0
 
@@ -491,7 +436,7 @@ class TestSplitOptimizer:
         before = tape.flat_params.copy()
         tape.grad("w2")[5, 9] = np.nan
         tape.populated = True
-        state = nk.OptimizerState("adam", 1e-3)
+        state = nk.OptimizerState(1e-3)
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in gradient of 'w2'$"):
             nk.optimizer_step(tape, state, _workers=workers)
         assert np.array_equal(tape.flat_params, before)
@@ -503,7 +448,7 @@ class TestSplitOptimizer:
         tape.param("w2")[0, 0] = -np.inf
         tape.populated = True
         with pytest.raises(nk.NonFiniteError, match=r"^non-finite value in parameter 'w2'$"):
-            nk.optimizer_step(tape, nk.OptimizerState("adam", 1e-3), _workers=workers)
+            nk.optimizer_step(tape, nk.OptimizerState(1e-3), _workers=workers)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -514,7 +459,7 @@ class TestSplitOptimizer:
         tape.flat_grads[...] = 1.0
         tape.grad("b1")[7] = 1e160
         tape.populated = True
-        state = nk.OptimizerState("adam", 1e-3)
+        state = nk.OptimizerState(1e-3)
         with pytest.raises(
             nk.NonFiniteError, match=r"^non-finite value in Adam second moment of 'b1'$"
         ):
@@ -529,7 +474,7 @@ class TestSplitOptimizer:
             monkeypatch.setattr(kernels, name, refuse)
         model, loss = _mini_step(15)
         assert model.tape.flat_params.size < nk.SPLIT_MIN
-        state = nk.OptimizerState("adam", 1e-2)
+        state = nk.OptimizerState(1e-2)
         for _ in range(3):
             loss()
             nk.optimizer_step(model.tape, state)
@@ -542,9 +487,9 @@ class TestSplitOptimizer:
         monkeypatch.setattr(kernels, "_openblas_libraries", lambda: pytest.fail("BLAS touched"))
         assert kernels.workers() == 1
         assert kernels._pool is None
-        tape, state = _run_steps("adam", None)
+        tape, state = _run_steps(None)
         assert state.scratch.shape == (2, kernels.BLOCK)
-        assert np.array_equal(tape.flat_params, _run_steps("adam", 1)[0].flat_params)
+        assert np.array_equal(tape.flat_params, _run_steps(1)[0].flat_params)
 
     def test_no_openblas_to_stop_means_one_worker(self, monkeypatch):
         monkeypatch.setattr(kernels, "_workers", 0)
@@ -588,15 +533,15 @@ class TestSplitOptimizer:
             pool.shutdown()
 
     def test_forked_child_starts_its_own_pool(self):
-        want = _run_steps("adam", 1, steps=1)[0].flat_params
-        _run_steps("adam", 2, steps=1)  # the parent's pool is running
+        want = _run_steps(1, steps=1)[0].flat_params
+        _run_steps(2, steps=1)  # the parent's pool is running
         with warnings.catch_warnings():
             # Python 3.12 warns about forking a process that has threads.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             try:
-                got = _run_steps("adam", 2, steps=1)[0].flat_params
+                got = _run_steps(2, steps=1)[0].flat_params
                 os._exit(0 if np.array_equal(got, want) else 1)
             finally:
                 os._exit(2)
@@ -646,7 +591,7 @@ class TestNonFinite:
         tape.grad("p")[...] = np.nan
         tape.populated = True
         with pytest.raises(nk.NonFiniteError):
-            nk.optimizer_step(tape, nk.OptimizerState("adam", 0.1))
+            nk.optimizer_step(tape, nk.OptimizerState(0.1))
         assert tape.param("p")[0, 0] == 1.0
 
     def test_optimizer_checks_gradients(self):
@@ -654,13 +599,13 @@ class TestNonFinite:
         tape.grad("p")[0] = np.inf
         tape.populated = True
         with pytest.raises(nk.NonFiniteError):
-            nk.optimizer_step(tape, nk.OptimizerState("sgd", 0.1))
+            nk.optimizer_step(tape, nk.OptimizerState(0.1))
 
 
 class TestDeterminism:
     def _train_once(self) -> np.ndarray:
         model, loss = _mini_step(123)
-        state = nk.OptimizerState("adam", 1e-2)
+        state = nk.OptimizerState(1e-2)
         for _ in range(5):
             loss()
             nk.optimizer_step(model.tape, state)

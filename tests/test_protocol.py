@@ -218,10 +218,33 @@ class TestDivergence:
             str(err.value),
         ), str(err.value)
 
+    def test_retry_after_a_failed_increment_says_the_model_was_taken(self, data):
+        train, test = data
+        state = run_increment(
+            IncrementState(), subset_by_classes(train, [0]), test, FAST, _phase_seed(1, 0)
+        )
+        learned, history = list(state.learned), list(state.history)
+        group = subset_by_classes(train, [1])
+        images = group.images.copy()
+        images[5, 2] = np.nan
+        with pytest.raises(nk.NonFiniteError):
+            run_increment(
+                state, LabeledDataset(images, group.labels), test, FAST, _phase_seed(1, 1)
+            )
+        with pytest.raises(ValueError) as err:
+            run_increment(state, group, test, FAST, _phase_seed(1, 1))
+        assert str(err.value) == (
+            "state has learned classes but no model to replay from; run_increment "
+            "takes the model out of the state it is given, even when the increment "
+            "then fails, so a retry needs the state it returned or "
+            "IncrementState(learned, load_model(path), history)"
+        )
+        assert state.learned == learned and state.history == history
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_learning_rate_stops_at_the_second_step(self, data):
         train, test = data
-        config = replace(FAST, optimizer="sgd", lr=1e308)
+        config = replace(FAST, lr=1e308)
         with pytest.raises(nk.NonFiniteError, match=r"^increment 0: .* at epoch 0, step 1 "):
             run_increment(IncrementState(), subset_by_classes(train, [0, 1]), test, config, 3)
 
@@ -241,7 +264,7 @@ class TestStepWorkspace:
         images = rng.uniform(size=(256, 784))
         labels = rng.integers(0, 10, size=256)
         ws = StepWorkspace(model, 128)
-        state = nk.OptimizerState("adam", 1e-3)
+        state = nk.OptimizerState(1e-3)
         self._step(model, ws, state, images, labels, np.arange(128), rng)
         buffers = dict(vars(ws))
         tracemalloc.start()
@@ -269,7 +292,7 @@ class TestStepWorkspace:
         # Reference: a fresh workspace for every step, so nothing carries over.
         # train_model first draws a row order, then shuffles it each epoch.
         want = fresh_model()
-        state = nk.OptimizerState(config.optimizer, config.lr)
+        state = nk.OptimizerState(config.lr)
         ref_rng = np.random.default_rng(7)
         order = ref_rng.permutation(40)
         for _ in range(config.epochs):

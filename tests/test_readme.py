@@ -1,5 +1,5 @@
-"""The README's promises: the quick-start table, the library snippet, and
-the names the package exports."""
+"""The README's promises: the quick-start table, the CLI flag table, the
+library snippet, and the names the package exports."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 import re
 
 import clare
-from clare.harness import run_cli
+from clare.harness import build_parser, run_cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -31,6 +31,19 @@ def test_quick_start_prints_the_readme_table(capsys):
         line.split() for line in table.splitlines()
     ]
     assert table.splitlines()[-1].split() == ["1", "7", "100.0", "100.0", "98.7"]
+
+
+def test_cli_table_lists_exactly_the_parser_flags():
+    section = _readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    listed = re.findall(r"--[a-z][a-z-]*", " ".join(row.split(" | ")[0] for row in rows))
+    flags = [
+        flag
+        for action in build_parser()._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    ]
+    assert sorted(listed) == sorted(flags)
 
 
 def test_library_use_snippet_runs(capsys):

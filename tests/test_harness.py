@@ -150,6 +150,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_items({"momentum": "0.9"})
 
+    def test_optimizer_is_not_a_setting(self):
+        # Adam is the only optimizer, so no setting chooses one.
+        assert "optimizer" not in CONFIG_KEYS
+        with pytest.raises(TypeError, match="optimizer"):
+            ExperimentConfig(optimizer="adam")
+
     def test_bad_replay_value_rejected(self):
         with pytest.raises(ValueError, match="replay"):
             config_from_items({"replay": "yes"})
@@ -233,16 +239,19 @@ class TestReportRoundTrip:
         with pytest.raises(ReportFormatError, match="recomputed"):
             parse_report("\n".join(tampered) + "\n")
 
-    def test_unknown_keys_rejected(self):
-        # An unknown report key, and a config echo key no setting has any
-        # more: reports written before Adam was the only optimizer carry one.
-        for line, key in [
+    # An unknown report key, and a config echo key no setting has any more:
+    # reports written before Adam was the only optimizer carry one.
+    @pytest.mark.parametrize(
+        "line, key",
+        [
             ("mystery.key = 1", "mystery.key"),
             ("config.optimizer = adam", "bad config echo: unknown config key 'optimizer'"),
-        ]:
-            text = render_report(_tiny_report()) + line + "\n"
-            with pytest.raises(ReportFormatError, match=re.escape(key)):
-                parse_report(text)
+        ],
+    )
+    def test_unknown_keys_rejected(self, line, key):
+        text = render_report(_tiny_report()) + line + "\n"
+        with pytest.raises(ReportFormatError, match=re.escape(key)):
+            parse_report(text)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -482,15 +491,17 @@ class TestCli:
         with pytest.raises(UsageError, match=r":4: duplicate key 'epochs' \(first set on line 1\)"):
             read_config_file(str(cfg))
 
-    def test_unknown_config_key_names_file_and_line(self, tmp_path, capsys):
-        # A typo, and a key no setting has any more.
-        for line, key in [("epochz = 3", "epochz"), ("optimizer = adam", "optimizer")]:
-            cfg = tmp_path / "typo.cfg"
-            cfg.write_text(f"dataset = toy\n\n# comment\n{line}\n")
-            assert run_cli(["--config", str(cfg)]) == 2
-            assert capsys.readouterr().err.startswith(
-                f"error: {cfg}:4: unknown config key {key!r}"
-            )
+    # A typo, and a key no setting has any more.
+    @pytest.mark.parametrize(
+        "line, key", [("epochz = 3", "epochz"), ("optimizer = adam", "optimizer")]
+    )
+    def test_unknown_config_key_names_file_and_line(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"dataset = toy\n\n# comment\n{line}\n")
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:4: unknown config key {key!r}"
+        )
 
     def test_dump_replay_writes_idx_pairs(self, tmp_path, capsys):
         dump = tmp_path / "buffers"

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -234,6 +235,11 @@ class TestOptimizers:
         with pytest.raises(RuntimeError, match="before backward"):
             nk.optimizer_step(tape, state)
 
+    def test_state_takes_only_a_learning_rate(self):
+        # Adam is the only optimizer, so there is no kind to pass.
+        with pytest.raises(TypeError):
+            nk.OptimizerState("adam", 0.1)
+
     def test_bad_optimizer_settings_rejected(self):
         with pytest.raises(ValueError):
             nk.OptimizerState(0.0)
@@ -314,6 +320,28 @@ class TestFlatStore:
         moments = [np.concatenate([want[n][k].ravel() for n, _ in FLAT_SHAPES]) for k in (1, 2)]
         assert np.array_equal(state.m, moments[0])
         assert np.array_equal(state.v, moments[1])
+
+    def test_adam_kernel_makes_no_full_size_temporary(self):
+        rng = np.random.default_rng(8)
+        n = 3 * kernels.BLOCK + 77
+        p, g = rng.standard_normal(n), rng.standard_normal(n)
+        m, v = rng.standard_normal(n), rng.uniform(size=n)
+        b1, b2, eps = nk.OptimizerState.BETA1, nk.OptimizerState.BETA2, nk.OptimizerState.EPS
+        want_m = m * b1 + (1.0 - b1) * g
+        want_v = v * b2 + ((1.0 - b2) * g) * g
+        want_p = p - (0.5 * (want_m / (1.0 - b1**3))) / (np.sqrt(want_v / (1.0 - b2**3)) + eps)
+        scratch = np.empty((2, kernels.BLOCK))
+        tracemalloc.start()
+        try:
+            finite = kernels.adam_step(p, g, m, v, 3, 0.5, b1, b2, eps, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert finite
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(v, want_v)
+        assert np.array_equal(p, want_p)
+        assert peak < p.nbytes // 16, f"peak {peak} bytes"
 
     def test_one_finite_check_per_buffer(self, monkeypatch):
         # Every scan reads a slice of one flat buffer. Gradients are scanned

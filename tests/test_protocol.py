@@ -241,6 +241,32 @@ class TestDivergence:
         )
         assert state.learned == learned and state.history == history
 
+    def test_retry_from_a_reloaded_model_matches_an_unbroken_run(self, data, tmp_path):
+        # The recovery the retry message names: put the saved model back.
+        train, test = data
+        state = run_increment(
+            IncrementState(), subset_by_classes(train, [0]), test, FAST, _phase_seed(1, 0)
+        )
+        path = str(tmp_path / "model.bin")
+        save_model(state.model, path)
+        group = subset_by_classes(train, [1])
+        images = group.images.copy()
+        images[5, 2] = np.nan
+        with pytest.raises(nk.NonFiniteError):
+            run_increment(
+                state, LabeledDataset(images, group.labels), test, FAST, _phase_seed(1, 1)
+            )
+        got, want = (
+            run_increment(
+                IncrementState(state.learned, load_model(path), state.history),
+                group, test, FAST, _phase_seed(1, 1),
+            )
+            for _ in range(2)
+        )
+        assert got.learned == want.learned == [0, 1]
+        assert np.array_equal(got.model.tape.flat_params, want.model.tape.flat_params)
+        assert [r.overall for r in got.history] == [r.overall for r in want.history]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_learning_rate_stops_at_the_second_step(self, data):
         train, test = data

@@ -3,10 +3,12 @@ library snippet, and the names the package exports."""
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 
 import clare
+from clare import harness
 from clare.harness import build_parser, run_cli
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -44,6 +46,15 @@ def test_cli_table_lists_exactly_the_parser_flags():
         if flag not in ("-h", "--help")
     ]
     assert sorted(listed) == sorted(flags)
+
+
+def test_console_script_names_the_cli_entry_point():
+    # The installed ``clare`` command must resolve to the function the CLI
+    # tests run.
+    with open(os.path.join(os.path.dirname(README), "pyproject.toml")) as fh:
+        scripts = fh.read().split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, name = re.fullmatch(r'clare = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert getattr(importlib.import_module(module), name) is harness.main
 
 
 def test_library_use_snippet_runs(capsys):

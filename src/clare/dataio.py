@@ -2,8 +2,12 @@
 
 IDX is the classic big-endian binary layout: two zero bytes, a type code,
 a rank byte, ``rank`` u32 dimensions, then the raw payload. Gzipped files
-are handled transparently by sniffing the two-byte gzip magic. Pixels are
-scaled to [0, 1] float64 on load; labels become int64.
+are handled transparently by sniffing the two-byte gzip magic. Images stay
+the IDX payload's bytes, one uint8 per pixel, flattened per row; labels
+become int64. ``scale_pixels`` is the one place that turns pixels into
+float64: byte ``b`` reads as ``b / 255.0``, so a value lies in [0, 1]. The
+training step, the classifier and an increment's training array call it
+on the rows they read, so the corpus itself is never held as floats.
 
 The toy generator drops Gaussian blobs on corners of ``[0.2, 0.8]^dim`` so
 miniature end-to-end runs have a dataset that trains in seconds.
@@ -46,7 +50,12 @@ class IdxHeader:
 
 @dataclass
 class LabeledDataset:
-    """Flattened float64 images in [0, 1] with aligned int64 labels."""
+    """Flattened images, one row each, with aligned int64 labels.
+
+    ``images`` is either uint8, as ``load_mnist`` returns it, holding pixel
+    bytes whose values are ``byte / 255.0`` (see ``scale_pixels``), or
+    float64 holding the values themselves, as the toy blobs do.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -149,17 +158,43 @@ def _to_dataset(images_raw: np.ndarray, labels_raw: np.ndarray, what: str) -> La
         raise ValueError(
             f"{what}: {images_raw.shape[0]} images but {labels_raw.shape[0]} labels"
         )
-    images = images_raw.reshape(images_raw.shape[0], -1).astype(np.float64) / 255.0
+    images = images_raw.reshape(images_raw.shape[0], -1)
     return LabeledDataset(images=images, labels=labels_raw.astype(np.int64))
 
 
 def load_mnist(data_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
-    """Load the four standard IDX files (plain or .gz) from ``data_dir``."""
+    """Load the four standard IDX files (plain or .gz) from ``data_dir``.
+
+    Images keep the files' uint8 pixel bytes; nothing is converted to float.
+    """
     _, train_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_images"]))
     _, train_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_labels"]))
     _, test_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_images"]))
     _, test_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_labels"]))
     return _to_dataset(train_x, train_y, "train"), _to_dataset(test_x, test_y, "test")
+
+
+def as_pixels(images) -> np.ndarray:
+    """``images`` as pixel rows: uint8 pixel bytes as they are, anything else
+    as contiguous float64 values."""
+    images = np.asarray(images)
+    if images.dtype == np.uint8:
+        return images
+    return np.ascontiguousarray(images, dtype=np.float64)
+
+
+def scale_pixels(images: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the float64 values of pixel rows ``images`` into ``out``.
+
+    A uint8 array holds pixel bytes, and byte ``b`` reads as ``b / 255.0``,
+    one IEEE division, the same one that scaled the corpus on load before it
+    was kept as bytes. Any other array holds the values already and is
+    copied as it is. Returns ``out``.
+    """
+    if images.dtype == np.uint8:
+        return np.divide(images, 255.0, out=out)
+    np.copyto(out, images)
+    return out
 
 
 def subset_by_classes(dataset: LabeledDataset, class_ids: list[int]) -> LabeledDataset:

@@ -171,7 +171,13 @@ def _replay_dumper(directory: str, dim: int, seed: int):
     square = side * side == dim
 
     def dump(phase: int, buffer) -> None:
-        pixels = np.clip(np.round(buffer.images * 255.0), 0, 255).astype(np.uint8)
+        # One float temporary: buffer.images is the head of the training
+        # array, so it cannot be scaled in place.
+        scaled = np.multiply(buffer.images, 255.0)
+        np.round(scaled, out=scaled)
+        np.clip(scaled, 0, 255, out=scaled)
+        pixels = scaled.astype(np.uint8)
+        del scaled
         if square:
             pixels = pixels.reshape(-1, side, side)
         stem = os.path.join(directory, f"replay-s{seed}-{phase:02d}")
@@ -236,9 +242,11 @@ def run_cli(argv: list[str] | None = None) -> int:
         config = config.resolved()
         started = time.perf_counter()
         runs = []
+        # Only the toy blobs depend on the seed: the digit corpus is loaded once.
+        corpus = load_datasets(config) if config.dataset == "mnist" else None
         for seed in seeds:
             run_config = replace(config, seed=seed)
-            train, test = load_datasets(run_config)
+            train, test = corpus if corpus is not None else load_datasets(run_config)
             on_replay = None
             if args.dump_replay:
                 wide = [cls for cls in train.classes() if cls > 255]

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import kernels
 from . import numkit as nk
+from .dataio import as_pixels, scale_pixels
 from .numkit import ParamTape
 
 LOG_VAR_MIN = -10.0
@@ -160,12 +161,15 @@ class ClareModel:
 
         Runs ``encoder_layer1``, ``encoder_trunk`` and ``classifier_logits``,
         as the training step does, over rows in chunks of ``_CLASSIFY_ROWS``.
+        Pixel bytes (uint8) are scaled one chunk at a time into a chunk-sized
+        buffer (``scale_pixels``); any other input is read as float64.
         """
-        x = nk.as_f64(x)
+        x = as_pixels(x)
         self._check_input(x)
         n = len(x)
         get = self.tape.param
         rows = min(_CLASSIFY_ROWS, n)
+        scaled = np.empty((rows, self.input_dim)) if x.dtype == np.uint8 else None
         h1 = np.empty((rows, self.enc_hidden[0]))
         h2 = np.empty((rows, self.enc_hidden[1]))
         mu = np.empty((rows, self.d_z))
@@ -173,7 +177,8 @@ class ClareModel:
         for start in range(0, n, _CLASSIFY_ROWS):
             stop = min(start + _CLASSIFY_ROWS, n)
             k = stop - start
-            encoder_layer1(get, self.input_dim, x[start:stop], h1[:k])
+            chunk = x[start:stop] if scaled is None else scale_pixels(x[start:stop], scaled[:k])
+            encoder_layer1(get, self.input_dim, chunk, h1[:k])
             encoder_trunk(get, h1[:k], h2[:k], mu[:k])
             classifier_logits(get, mu[:k], out[start:stop])
         return out
@@ -346,10 +351,15 @@ class StepWorkspace:
     def gather(self, images: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> None:
         """Copy minibatch ``rows`` of ``images`` and ``labels`` into the buffers.
 
-        ``rows`` must be valid indices. Mode ``"clip"`` lets ``np.take``
-        write straight into the buffer; the default mode first copies.
+        ``rows`` must be valid indices. Float64 images go straight into
+        ``x``: mode ``"clip"`` lets ``np.take`` write into the buffer, where
+        the default mode first copies. Pixel bytes (uint8) are gathered as
+        bytes and scaled into ``x`` (``scale_pixels``).
         """
-        np.take(images, rows, axis=0, out=self.x, mode="clip")
+        if images.dtype == np.uint8:
+            scale_pixels(np.take(images, rows, axis=0, mode="clip"), self.x)
+        else:
+            np.take(images, rows, axis=0, out=self.x, mode="clip")
         np.take(labels, rows, out=self.labels, mode="clip")
 
 

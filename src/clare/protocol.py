@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .config import ExperimentConfig
-from .dataio import LabeledDataset, subset_by_classes
+from .dataio import LabeledDataset, as_pixels, scale_pixels, subset_by_classes
 from .metrics import evaluate
 from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
 from .replay import balance_counts, generate_replay
@@ -92,6 +92,8 @@ def train_model(
 
     Each step gathers its batch through a row order drawn from ``rng``
     first, so the images are never copied; a rejected call draws nothing.
+    ``images`` holds float values or uint8 pixel bytes, which each step
+    scales as it gathers them (``StepWorkspace.gather``).
 
     Returns per-epoch means of each loss component. One optimizer lives for
     the whole call; a fresh one is created per increment because class
@@ -101,7 +103,7 @@ def train_model(
     epoch and step (both counted from 0) where training diverged and the
     last loss components computed before it.
     """
-    images = nk.as_f64(images)
+    images = as_pixels(images)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != images.shape[0]:
         raise ValueError(
@@ -199,11 +201,12 @@ def run_increment(
         }
         counts = balance_counts(list(range(len(state.learned))), new_counts)
         # One training array: replay decodes into its head, the new images
-        # are copied into its tail.
+        # are scaled into its tail (a plain assignment would cast pixel
+        # bytes without scaling them).
         n_replay = sum(counts.values())
         train_x = np.empty((n_replay + new_group_data.n, new_group_data.dim))
         buffer = generate_replay(state.model, counts, replay_seed, out=train_x[:n_replay])
-        train_x[n_replay:] = new_x
+        scale_pixels(new_x, train_x[n_replay:])
         train_y = np.concatenate([buffer.labels, new_y])
         if on_replay is not None:
             on_replay(phase, replace(buffer, labels=np.asarray(state.learned)[buffer.labels]))

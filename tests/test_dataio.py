@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import gzip
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from clare.dataio import (
+    MNIST_FILES,
     IdxFormatError,
     LabeledDataset,
+    as_pixels,
     load_mnist,
     make_toy_dataset,
     parse_idx,
+    scale_pixels,
     subset_by_classes,
     toy_centers,
     write_idx,
@@ -132,6 +136,36 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=r"\[5\]"):
             subset_by_classes(self._dataset(), [0, 5])
 
+    def test_subset_keeps_pixel_bytes(self):
+        images = np.arange(12, dtype=np.uint8).reshape(6, 2)
+        ds = LabeledDataset(images=images, labels=np.array([0, 0, 1, 2, 1, 0]))
+        sub = subset_by_classes(ds, [1, 2])
+        assert sub.images.dtype == np.uint8
+        assert np.array_equal(sub.images, images[[2, 3, 4]])
+
+
+class TestPixels:
+    def test_every_byte_scales_as_the_float_corpus_did(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        out = np.empty((16, 16))
+        assert scale_pixels(pixels, out) is out
+        assert np.array_equal(out, pixels.astype(np.float64) / 255.0)
+        assert out[0, 0] == 0.0 and out[-1, -1] == 1.0
+
+    def test_float_values_are_copied_as_they_are(self):
+        values = np.random.default_rng(3).uniform(size=(4, 5))
+        out = np.empty((4, 5))
+        scale_pixels(values, out)
+        assert np.array_equal(out, values)
+
+    def test_bytes_stay_bytes_and_other_input_becomes_float64(self):
+        pixels = np.zeros((2, 3), dtype=np.uint8)
+        assert as_pixels(pixels) is pixels
+        values = as_pixels([[1, 2], [3, 4]])
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        strided = np.ones((4, 6))[:, ::2]
+        assert as_pixels(strided).flags.c_contiguous
+
 
 class TestToyDataset:
     def test_shapes_and_counts(self):
@@ -214,8 +248,32 @@ class TestLoadMnist:
         assert train.n == 10
         assert test.n == 6
         assert train.dim == 9
-        assert_allclose(train.images, train_x.reshape(10, 9) / 255.0)
+        # The corpus keeps the files' bytes; its float values are byte / 255.
+        assert train.images.dtype == np.uint8
+        assert np.array_equal(train.images, train_x.reshape(10, 9))
+        assert np.array_equal(train.images / 255.0, train_x.reshape(10, 9) / 255.0)
+        assert test.images.dtype == np.uint8
+        assert np.array_equal(test.images, test_x.reshape(6, 9))
         assert train.labels.tolist() == train_y.tolist()
+
+    def test_load_holds_no_float_pixels(self, tmp_path):
+        # 2,000 784-wide rows are 12.5 MB as float64 and 1.6 MB as bytes.
+        rng = np.random.default_rng(6)
+        train_x = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        test_x = rng.integers(0, 256, size=(200, 28, 28), dtype=np.uint8)
+        for name, payload in zip(MNIST_FILES.values(), [
+            train_x, np.arange(2000, dtype=np.uint8) % 10,
+            test_x, np.arange(200, dtype=np.uint8) % 10,
+        ]):
+            (tmp_path / name).write_bytes(write_idx(payload))
+        tracemalloc.start()
+        try:
+            train, test = load_mnist(str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert train.images.shape == (2000, 784)
+        assert peak < train_x.size * np.dtype(np.float64).itemsize
 
     @pytest.mark.skipif(
         not os.environ.get("CLARE_DATA_DIR")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,14 @@ from numpy.testing import assert_allclose
 
 import clare
 from clare.config import CONFIG_KEYS, ExperimentConfig, config_from_items
-from clare.dataio import parse_idx, write_idx
+from clare.dataio import load_mnist, parse_idx, write_idx
 from clare.harness import UsageError, build_parser, merge_config, read_config_file, run_cli
 from clare import harness
 from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
 from clare.protocol import MetricsRecord
+from clare.replay import ReplayBuffer
 from clare.report import (
     ReportFormatError,
     ResultsReport,
@@ -382,6 +384,19 @@ def test_a_one_character_change_to_a_config_file_reads_or_names_its_line(
         assert re.match(rf"{re.escape(str(path))}:\d+: ", str(err)), str(err)
 
 
+def _digit_corpus(tmp_path: Path) -> Path:
+    """Four IDX files holding only digits 3, 5 and 7, as 2x2 images."""
+    rng = np.random.default_rng(8)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for split, n in (("train", 60), ("t10k", 30)):
+        images = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
+        labels = np.repeat(np.array([3, 5, 7], dtype=np.uint8), n // 3)
+        (corpus / f"{split}-images-idx3-ubyte").write_bytes(write_idx(images))
+        (corpus / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(labels))
+    return corpus
+
+
 TOY_ARGS = [
     "--dataset", "toy", "--toy-classes", "3", "--toy-dim", "4",
     "--toy-per-class", "60", "--epochs", "4", "--batch", "16",
@@ -523,15 +538,7 @@ class TestCli:
         assert sorted(set(labels2.tolist())) == [0, 1]
 
     def test_dump_replay_writes_original_labels(self, tmp_path, capsys):
-        # An IDX corpus holding only digits 3, 5 and 7, as 2x2 images.
-        rng = np.random.default_rng(8)
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for split, n in (("train", 60), ("t10k", 30)):
-            images = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
-            labels = np.repeat(np.array([3, 5, 7], dtype=np.uint8), n // 3)
-            (corpus / f"{split}-images-idx3-ubyte").write_bytes(write_idx(images))
-            (corpus / f"{split}-labels-idx1-ubyte").write_bytes(write_idx(labels))
+        corpus = _digit_corpus(tmp_path)
         dump = tmp_path / "buffers"
         code = run_cli(["--dataset", "mnist", "--data-dir", str(corpus), "--epochs", "1",
                         "--batch", "16", "--latent-dim", "2", "--seed", "7",
@@ -542,6 +549,50 @@ class TestCli:
         assert set(labels.tolist()) == {3}
         _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
         assert set(labels2.tolist()) == {3, 5}
+
+    def test_dumped_pixels_round_as_the_two_temporary_expression_did(self, tmp_path):
+        # 0, 1, the k.5 / 255 rounding edges and their float neighbours, and
+        # two values outside [0, 1] for the clip.
+        edges = (np.arange(255) + 0.5) / 255.0
+        values = np.concatenate([[0.0, 1.0, -0.25, 1.25], edges,
+                                 np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        buffer = ReplayBuffer(values.reshape(-1, 1), np.zeros(values.size, dtype=np.int64))
+        harness._replay_dumper(str(tmp_path), 1, 3)(4, buffer)
+        _, pixels = parse_idx((tmp_path / "replay-s3-04-images-idx").read_bytes())
+        want = np.clip(np.round(values * 255.0), 0, 255).astype(np.uint8)
+        assert np.array_equal(pixels.reshape(-1), want)
+        # The buffer is the head of the training array: it is not scaled.
+        assert np.array_equal(buffer.images.reshape(-1), values)
+
+    def test_digit_corpus_is_loaded_once_for_all_seeds(self, tmp_path, monkeypatch, capsys):
+        corpus = _digit_corpus(tmp_path)
+        calls = []
+
+        def counted(data_dir):
+            calls.append(data_dir)
+            return load_mnist(data_dir)
+
+        monkeypatch.setattr(harness, "load_mnist", counted)
+        out = tmp_path / "report.txt"
+        args = ["--dataset", "mnist", "--data-dir", str(corpus), "--epochs", "1",
+                "--batch", "16", "--latent-dim", "2", "--seeds", "1,2", "--out", str(out)]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        assert calls == [str(corpus)]
+        # The report equals one made from a corpus loaded afresh for each seed.
+        config = merge_config(build_parser().parse_args(args)).resolved()
+        runs = []
+        for seed in (1, 2):
+            train, test = load_mnist(str(corpus))
+            records = harness.run_mode("clare", train, test, replace(config, seed=seed), seed)
+            runs.append(RunResult(seed=seed, records=records))
+        want = render_report(ResultsReport("clare", replace(config, seed=1), runs))
+
+        def timeless(text):
+            return [line for line in text.splitlines()
+                    if not line.split(" = ", 1)[0].endswith("seconds")]
+
+        assert timeless(out.read_text(encoding="utf-8")) == timeless(want)
 
     def test_dump_replay_rejects_labels_above_a_byte(self, tmp_path, capsys):
         dump = tmp_path / "buffers"

@@ -18,6 +18,7 @@ import clare.numkit as nk
 from clare import kernels
 from clare import model as model_mod
 from clare.dataio import toy_centers
+from clare.metrics import evaluate
 from clare.model import (
     ClareModel,
     expand_classes,
@@ -186,6 +187,19 @@ class TestForward:
         ws = filled_workspace(m, x, rng.integers(0, 10, size=128), rng.standard_normal((128, 64)))
         forward_backward(m, ws)
         assert np.array_equal(m.class_logits(x), ws.logits)
+
+    def test_pixel_bytes_classify_as_their_scaled_floats(self):
+        # 600 rows: two full classifier chunks and a short last one.
+        rng = np.random.default_rng(12)
+        m = ClareModel(class_no=10, rng=rng)
+        for name in ("enc_b1", "enc_b2", "enc_bmu", "cls_b"):
+            m.tape.param(name)[...] = rng.uniform(-0.5, 0.5, size=m.tape.param(name).shape)
+        pixels = rng.integers(0, 256, size=(600, 784), dtype=np.uint8)
+        values = pixels / 255.0
+        assert 600 % model_mod._CLASSIFY_ROWS
+        assert np.array_equal(m.class_logits(pixels), m.class_logits(values))
+        labels = rng.integers(0, 10, size=600)
+        assert evaluate(m, pixels, labels) == evaluate(m, values, labels)
 
     def test_class_logits_match_the_concatenated_encoder_at_digit_shape(self):
         m = ClareModel(class_no=10, rng=np.random.default_rng(6))

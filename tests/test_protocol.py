@@ -282,12 +282,16 @@ class TestStepWorkspace:
         forward_backward(model, ws)
         nk.optimizer_step(model.tape, state)
 
-    def test_steady_state_digit_step_allocates_under_2_mib(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_steady_state_digit_step_allocates_under_2_mib(self, dtype):
         # 784-512-256-64 at batch 128: every activation and gradient lives in
-        # the workspace or the tape; what is left is kernel temporaries.
+        # the workspace or the tape; what is left is kernel temporaries, and
+        # for pixel bytes the gathered batch before it is scaled.
         model = ClareModel(class_no=10, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         images = rng.uniform(size=(256, 784))
+        if dtype == np.uint8:
+            images = np.round(images * 255.0).astype(np.uint8)
         labels = rng.integers(0, 10, size=256)
         ws = StepWorkspace(model, 128)
         state = nk.OptimizerState(1e-3)
@@ -459,6 +463,40 @@ class TestRunExperiment:
         assert records[0].classes_seen == [0, 1]
         assert records[1].classes_seen == [0, 1, 2]
         assert set(records[1].per_class) == {0, 1, 2}
+
+
+def _byte_twins(dataset: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:
+    """``dataset`` rounded to pixel bytes, and the float values those bytes hold."""
+    pixels = np.round(dataset.images * 255.0).astype(np.uint8)
+    return (LabeledDataset(pixels, dataset.labels),
+            LabeledDataset(pixels / 255.0, dataset.labels))
+
+
+class TestPixelBytes:
+    def test_training_on_bytes_equals_training_on_their_values(self, data):
+        pixels, values = _byte_twins(data[0])
+        results = []
+        for images in (pixels.images, values.images):
+            model = ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
+                               dec_hidden=(10, 12), rng=np.random.default_rng(4))
+            trace = train_model(model, images, pixels.labels, replace(FAST, epochs=2),
+                                np.random.default_rng(5))
+            results.append((trace, model.tape.flat_params))
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(results[0][1], results[1][1])
+
+    @pytest.mark.parametrize("start", ["scratch", "warm"])
+    def test_a_byte_corpus_runs_as_its_float_twin(self, data, start):
+        # Every increment after the first scales its new rows into the tail
+        # of the training array behind the replay.
+        (train, values), (test, test_values) = _byte_twins(data[0]), _byte_twins(data[1])
+        schedule = build_schedule([0, 1, 2], g=1)
+        config = replace(FAST, epochs=2, start=start)
+        got = run_experiment(train, test, schedule, config, seed=23)
+        want = run_experiment(values, test_values, schedule, config, seed=23)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert replace(a, seconds=0.0) == replace(b, seconds=0.0)
 
 
 class TestIncrementMemory:

@@ -30,18 +30,11 @@ from .protocol import (
     run_increment,
     run_joint_baseline,
 )
-from .replay import (
-    DecoderSnapshot,
-    ReplayBuffer,
-    balance_counts,
-    generate_replay,
-    take_snapshot,
-)
+from .replay import ReplayBuffer, balance_counts, generate_replay
 from .report import ResultsReport, read_report, write_report
 
 __all__ = [
     "ClareModel",
-    "DecoderSnapshot",
     "ExperimentConfig",
     "IncrementState",
     "LabeledDataset",
@@ -66,7 +59,6 @@ __all__ = [
     "run_increment",
     "run_joint_baseline",
     "save_model",
-    "take_snapshot",
     "write_idx",
     "write_report",
 ]

@@ -93,7 +93,10 @@ class LabeledDataset:
 
 
 def parse_idx(data: bytes) -> tuple[IdxHeader, np.ndarray]:
-    """Decode one IDX payload (gzipped or raw) into header plus array."""
+    """Decode one IDX payload (gzipped or raw) into header plus array.
+
+    The array is a read-only view of the payload's bytes, not a copy.
+    """
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
@@ -126,7 +129,7 @@ def parse_idx(data: bytes) -> tuple[IdxHeader, np.ndarray]:
             f"{expected} bytes"
         )
     array = np.frombuffer(data, dtype=np.uint8, count=count, offset=header_end)
-    return IdxHeader(type_code=type_code, dims=dims), array.reshape(dims).copy()
+    return IdxHeader(type_code=type_code, dims=dims), array.reshape(dims)
 
 
 def write_idx(array: np.ndarray) -> bytes:
@@ -165,7 +168,8 @@ def _to_dataset(images_raw: np.ndarray, labels_raw: np.ndarray, what: str) -> La
 def load_mnist(data_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
     """Load the four standard IDX files (plain or .gz) from ``data_dir``.
 
-    Images keep the files' uint8 pixel bytes; nothing is converted to float.
+    Images keep the files' uint8 pixel bytes, as a read-only view of each
+    file's one read; nothing is copied or converted to float.
     """
     _, train_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_images"]))
     _, train_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_labels"]))

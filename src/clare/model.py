@@ -8,9 +8,11 @@ cross-entropy plus a weighted KL pull toward the standard normal prior.
 ``forward_backward`` is the only implementation of that objective: one
 hand-written pass over the ``kernels`` losses that also writes every
 gradient. The model's own methods are inference only: the classifier pass
-and the decoder. Each layer's forward is written once, in ``encoder_layer1``,
-``encoder_trunk``, ``classifier_logits`` and ``decoder_logits``, and the
-training step and inference both run it.
+and the decoder. ``ClareModel.decode`` is the one place outside training
+that decodes; replay calls it on the previous increment's model. Each
+layer's forward is written once, in ``encoder_layer1``, ``encoder_trunk``,
+``classifier_logits`` and ``decoder_logits``, and the training step and
+inference both run it.
 
 Classification never sees a class code: the classifier path runs the
 encoder with an all-zeros condition, at train time and test time alike, so
@@ -148,13 +150,40 @@ class ClareModel:
 
     # -- forward passes ----------------------------------------------------
 
-    @property
-    def output_dim(self) -> int:
-        return self.input_dim
-
     def decode(self, z: np.ndarray, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Pixel probabilities from latents and one-hot codes, into ``out`` if given."""
-        return decoder_forward(self.tape.param, self.d_z, z, c, out)
+        """Pixel probabilities from latents and one-hot codes.
+
+        ``z`` must be ``(n, d_z)`` and ``c`` ``(n, class_no)``, and ``out``,
+        when given, ``(n, input_dim)``; anything else raises ``ValueError``.
+        The result goes into ``out``, allocated when not given. Runs
+        ``decoder_logits`` and the output sigmoid over rows in chunks of
+        ``_DECODE_ROWS``.
+        """
+        z, c = nk.as_f64(z), nk.as_f64(c)
+        d_z, class_no = self.d_z, self.class_no
+        if z.ndim != 2 or z.shape[1] != d_z or c.shape != (z.shape[0], class_no):
+            raise ValueError(
+                f"decoder takes z of shape (n, d_z={d_z}) and c of shape "
+                f"(n, class_no={class_no}), got {z.shape} and {c.shape}"
+            )
+        n = len(z)
+        shape = (n, self.input_dim)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"decoder output must have shape {shape}, got {out.shape}")
+        rows = min(_DECODE_ROWS, n)
+        g1, g2 = self.dec_hidden
+        cond, h1, h2 = np.empty((rows, g1)), np.empty((rows, g1)), np.empty((rows, g2))
+        for start in range(0, n, _DECODE_ROWS):
+            stop = min(start + _DECODE_ROWS, n)
+            k = stop - start
+            logits = decoder_logits(
+                self.tape.param, d_z, z[start:stop], c[start:stop],
+                cond[:k], h1[:k], h2[:k], out[start:stop],
+            )
+            kernels.sigmoid_fwd(logits, out=logits)
+        return out
 
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         """Classifier logits from the zero-condition latent mean.
@@ -250,42 +279,6 @@ def decoder_logits(get, d_z: int, z, c, cond, h1, h2, out) -> np.ndarray:
     kernels.relu_fwd(h2, out=h2)
     np.matmul(h2, get("dec_w3").T, out=out)
     out += get("dec_b3")
-    return out
-
-
-def decoder_forward(get, d_z: int, z, c, out: np.ndarray | None = None) -> np.ndarray:
-    """Pixel probabilities from a decoder's parameter getter (model or snapshot).
-
-    ``z`` must be ``(n, d_z)`` and ``c`` ``(n, class_no)``, where
-    ``class_no`` is the width of ``dec_w1`` past ``d_z``, and ``out``, when
-    given, ``(n, output_dim)``; anything else raises ``ValueError``. The
-    result goes into ``out``, allocated when not given. Rows run in chunks
-    of ``_DECODE_ROWS``.
-    """
-    z, c = nk.as_f64(z), nk.as_f64(c)
-    w1 = get("dec_w1")
-    class_no = w1.shape[1] - d_z
-    if z.ndim != 2 or z.shape[1] != d_z or c.shape != (z.shape[0], class_no):
-        raise ValueError(
-            f"decoder takes z of shape (n, d_z={d_z}) and c of shape "
-            f"(n, class_no={class_no}), got {z.shape} and {c.shape}"
-        )
-    n = len(z)
-    shape = (n, get("dec_w3").shape[0])
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"decoder output must have shape {shape}, got {out.shape}")
-    rows = min(_DECODE_ROWS, n)
-    cond, h1 = np.empty((rows, w1.shape[0])), np.empty((rows, w1.shape[0]))
-    h2 = np.empty((rows, get("dec_w2").shape[0]))
-    for start in range(0, n, _DECODE_ROWS):
-        stop = min(start + _DECODE_ROWS, n)
-        k = stop - start
-        logits = decoder_logits(
-            get, d_z, z[start:stop], c[start:stop], cond[:k], h1[:k], h2[:k], out[start:stop]
-        )
-        kernels.sigmoid_fwd(logits, out=logits)
     return out
 
 

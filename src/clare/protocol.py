@@ -162,8 +162,9 @@ def run_increment(
     ``None``) in either start mode, so the old parameters are freed before
     training: a scratch start frees them before it allocates new ones, a
     warm start once it has expanded them. This holds even when training then
-    fails, so a retry needs a model put back, e.g. from ``load_model``.
-    Nothing else in the input state changes.
+    fails, so a retry needs a model put back, e.g. from ``load_model``; with
+    replay on or a warm start, a state that has learned classes but no model
+    raises ``ValueError``. Nothing else in the input state changes.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -172,6 +173,13 @@ def run_increment(
     overlap = set(new_originals) & set(state.learned)
     if overlap:
         raise ValueError(f"classes {sorted(overlap)} were already learned")
+    if state.learned and state.model is None and (config.replay or config.start == "warm"):
+        raise ValueError(
+            "state has learned classes but no model to replay from; run_increment "
+            "takes the model out of the state it is given, even when the increment "
+            "then fails, so a retry needs the state it returned or "
+            "IncrementState(learned, load_model(path), history)"
+        )
 
     phase = len(state.history)
     ss = np.random.SeedSequence(seed)
@@ -188,13 +196,6 @@ def run_increment(
     started = time.perf_counter()
 
     if state.learned and config.replay:
-        if state.model is None:
-            raise ValueError(
-                "state has learned classes but no model to replay from; run_increment "
-                "takes the model out of the state it is given, even when the increment "
-                "then fails, so a retry needs the state it returned or "
-                "IncrementState(learned, load_model(path), history)"
-            )
         new_counts = {
             dense_of[orig]: int(rows.size)
             for orig, rows in new_group_data.class_index.items()

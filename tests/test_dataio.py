@@ -275,6 +275,27 @@ class TestLoadMnist:
         assert train.images.shape == (2000, 784)
         assert peak < train_x.size * np.dtype(np.float64).itemsize
 
+    def test_load_peaks_at_its_result(self, tmp_path):
+        # Each file is read once; the images are a view of those bytes.
+        rng = np.random.default_rng(7)
+        train_x = rng.integers(0, 256, size=(6000, 28, 28), dtype=np.uint8)
+        test_x = rng.integers(0, 256, size=(1000, 28, 28), dtype=np.uint8)
+        for name, payload in zip(MNIST_FILES.values(), [
+            train_x, np.arange(6000, dtype=np.uint8) % 10,
+            test_x, np.arange(1000, dtype=np.uint8) % 10,
+        ]):
+            (tmp_path / name).write_bytes(write_idx(payload))
+        tracemalloc.start()
+        try:
+            train, test = load_mnist(str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = sum(d.images.nbytes + d.labels.nbytes for d in (train, test))
+        assert peak < 1.1 * result, f"peak {peak} bytes for a {result}-byte result"
+        assert not train.images.flags.writeable and not test.images.flags.writeable
+        assert np.array_equal(train.images, train_x.reshape(6000, 784))
+
     @pytest.mark.skipif(
         not os.environ.get("CLARE_DATA_DIR")
         or not os.path.exists(

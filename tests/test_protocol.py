@@ -154,6 +154,20 @@ class TestRunIncrement:
             run_increment(state, subset_by_classes(train, [1]), test, FAST, 9)
         assert state.learned == [0] and len(state.history) == 1
 
+    @pytest.mark.parametrize("replay, start", [(True, "scratch"), (False, "warm")])
+    def test_replay_or_a_warm_start_without_a_model_is_rejected(self, data, replay, start):
+        # A warm start with no model must not quietly train from scratch.
+        train, test = data
+        state = run_increment(
+            IncrementState(), subset_by_classes(train, [0]), test, FAST, 8
+        )
+        state.model = None
+        history = list(state.history)
+        config = replace(FAST, replay=replay, start=start)
+        with pytest.raises(ValueError, match="no model to replay from"):
+            run_increment(state, subset_by_classes(train, [1]), test, config, 9)
+        assert state.learned == [0] and state.history == history
+
     @pytest.mark.parametrize("start", ["scratch", "warm"])
     def test_a_saved_model_continues_the_run_identically(self, data, start, tmp_path):
         # The model is the only state besides the label map and the records.

@@ -1,10 +1,11 @@
 """The README's promises: the quick-start table, the CLI flag table, the
-library snippet, and the names the package exports."""
+library snippet, the names the package exports, and the names it cites."""
 
 from __future__ import annotations
 
 import importlib
 import os
+import pkgutil
 import re
 
 import clare
@@ -67,3 +68,28 @@ def test_library_use_snippet_runs(capsys):
 def test_every_exported_name_resolves():
     for name in clare.__all__:
         assert getattr(clare, name, None) is not None, name
+
+
+def test_every_program_name_the_readme_cites_resolves():
+    # A backticked `clare.<module>.<name>`, `<module>.<name>` or
+    # `<ExportedClass>.<attr>` must name something the package has, so a
+    # deleted name cannot linger in the prose.
+    modules = {info.name for info in pkgutil.iter_modules(clare.__path__)}
+    cited = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", _readme())))
+    checked = []
+    for name in cited:
+        parts = name.split(".")
+        if parts[0] == "clare":
+            parts = parts[1:]
+        if parts[0] in modules:
+            obj = importlib.import_module(f"clare.{parts[0]}")
+        elif re.fullmatch(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*", parts[0]):
+            assert parts[0] in clare.__all__, f"{name}: {parts[0]} is not exported"
+            obj = getattr(clare, parts[0])
+        else:
+            continue  # a file or a benchmark metric, not a program name
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), f"{name}: no {attr!r}"
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert "ClareModel.decode" in checked and "clare.replay.generate_replay" in checked

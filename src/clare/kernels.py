@@ -82,28 +82,44 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     return loss, grad
 
 
-def bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def bce_logits(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    out: np.ndarray | None = None,
+    e: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
     # softplus form: max(l, 0) - l*t + log1p(exp(-|l|)) is exact and never
-    # overflows, unlike -[t*log(sigmoid) + (1-t)*log(1-sigmoid)]. Two
-    # full-size buffers, no boolean indexing: exp(-|l|) is computed twice
-    # rather than held in a third.
-    terms = np.maximum(logits, 0.0)
-    e = np.multiply(logits, targets)
-    terms -= e
+    # overflows, unlike -[t*log(sigmoid) + (1-t)*log(1-sigmoid)]. No boolean
+    # indexing. ``out``, ``e`` and ``tmp`` are buffers shaped like the
+    # logits, allocated here when not given; the gradient goes into ``out``.
+    # With all three, exp(-|l|) is computed once and held in ``e``. Without
+    # ``tmp``, two buffers do: ``e`` serves as ``tmp`` and exp(-|l|) is
+    # computed again after the loss.
+    if out is None:
+        out = np.empty_like(logits)
+    if e is None:
+        e = np.empty_like(logits)
+    held = tmp is not None
+    if not held:
+        tmp = e
+    np.maximum(logits, 0.0, out=out)
+    out -= np.multiply(logits, targets, out=tmp)
     np.exp(np.copysign(logits, -1.0, out=e), out=e)
-    terms += np.log1p(e, out=e)
-    loss = float(terms.sum() / n)
+    out += np.log1p(e, out=tmp)
+    loss = float(out.sum() / n)
+    if not held:
+        np.exp(np.copysign(logits, -1.0, out=e), out=e)
     # Unclamped sigmoid, max(e, l >= 0) / (1 + e): the exact derivative, with
-    # the 0/1 mask written into ``terms``, which becomes the gradient.
-    np.exp(np.copysign(logits, -1.0, out=e), out=e)
-    np.greater_equal(logits, 0.0, out=terms)
-    np.maximum(e, terms, out=terms)
+    # the 0/1 mask written into ``out``, which becomes the gradient.
+    np.greater_equal(logits, 0.0, out=out)
+    np.maximum(e, out, out=out)
     e += 1.0
-    terms /= e
-    terms -= targets
-    terms /= n
-    return loss, terms
+    out /= e
+    out -= targets
+    out /= n
+    return loss, out
 
 
 def kl_terms(mu: np.ndarray, log_var: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

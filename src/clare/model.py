@@ -23,6 +23,7 @@ produce samples for any requested class.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 
@@ -100,6 +101,11 @@ def _param_shapes(class_no: int, d_z: int, input_dim: int, enc_hidden, dec_hidde
     ]
 
 
+def param_count(dims: tuple) -> int:
+    """Entries of a tape for the architecture ``dims`` (``ClareModel.dims``)."""
+    return sum(math.prod(shape) for _, shape in _param_shapes(*dims))
+
+
 class ClareModel:
     """The joint network: encoder trunk, latent heads, classifier, decoder.
 
@@ -107,7 +113,8 @@ class ClareModel:
     512-256); every dimension is configurable so miniature instances stay
     cheap to probe. All parameters live on a single ``ParamTape`` in a fixed
     order, which is also the checkpoint order and the layout of its flat
-    buffers.
+    buffers. ``capacity`` goes to the tape: a run gives every model its
+    largest model's parameter count (``param_count``).
     """
 
     def __init__(
@@ -118,6 +125,7 @@ class ClareModel:
         enc_hidden: tuple[int, int] = (512, 256),
         dec_hidden: tuple[int, int] = (256, 512),
         rng: np.random.Generator | None = None,
+        capacity: int = 0,
     ):
         if class_no < 1:
             raise ValueError(f"class_no must be >= 1, got {class_no}")
@@ -136,17 +144,19 @@ class ClareModel:
         self.input_dim = input_dim
         self.enc_hidden = tuple(int(h) for h in enc_hidden)
         self.dec_hidden = tuple(int(h) for h in dec_hidden)
-        self._build(rng)
-
-    def _build(self, rng: np.random.Generator | None) -> None:
-        shapes = _param_shapes(*_dims(self))
+        shapes = _param_shapes(*self.dims)
         # One allocation for the whole tape; biases stay zero, and weights
         # draw Glorot values straight into their views, in tape order.
-        self.tape = ParamTape(shapes)
+        self.tape = ParamTape(shapes, capacity)
         if rng is not None:
             for name, shape in shapes:
                 if len(shape) == 2:
                     nk.glorot_uniform(rng, self.tape.param(name))
+
+    @property
+    def dims(self) -> tuple:
+        """The architecture, as ``_param_shapes`` and ``StepWorkspace`` take it."""
+        return (self.class_no, self.d_z, self.input_dim, self.enc_hidden, self.dec_hidden)
 
     # -- forward passes ----------------------------------------------------
 
@@ -288,31 +298,34 @@ def decoder_logits(get, d_z: int, z, c, cond, h1, h2, out) -> np.ndarray:
 
 
 class StepWorkspace:
-    """Activation and gradient buffers for one training step at one batch size.
+    """Activation and gradient buffers for training steps of up to ``batch`` rows.
 
-    Built for a model's shapes and a batch size; every buffer is allocated
-    here and reused by each ``forward_backward`` call, so a steady-state step
-    allocates only the small arrays the latent-width kernels return and the
-    temporaries of ``kernels.bce_logits``. Fill ``x``, ``labels`` and
-    ``noise`` (``gather`` does the first two), then run the step.
+    Built for an architecture (``ClareModel.dims``) and a batch size; every
+    buffer is allocated here and reused by each ``forward_backward`` call,
+    so a steady-state step allocates only the small arrays the latent-width
+    kernels return. Fill ``x``, ``labels`` and ``noise`` (``gather`` does the
+    first two), then run the step.
 
     Rows ``[:n]`` of the stacked encoder buffers hold the zero-condition
     (classification) pass, rows ``[n:]`` the one-hot (VAE) pass. The forward
     products run per pass; the backward takes each weight gradient of the
     shared layers over both passes' rows in one product.
+
+    One workspace serves a whole run: a shorter batch runs on views of its
+    leading rows (``leading``), and ``fit`` follows a model with another
+    class count by rebuilding the two class-wide buffers.
     """
 
-    def __init__(self, model: ClareModel, batch: int):
-        n, d, c, d_z = batch, model.input_dim, model.class_no, model.d_z
-        h1, h2 = model.enc_hidden
-        g1, g2 = model.dec_hidden
-        self.dims = _dims(model)
+    def __init__(self, dims: tuple, batch: int):
+        c, d_z, d, (h1, h2), (g1, g2) = dims
+        n = batch
+        self.dims = dims
         self.n = n
         self.rows = np.arange(n)
         self.x = np.empty((n, d))
         self.labels = np.empty(n, dtype=np.int64)
         self.noise = np.empty((n, d_z))
-        self.one_hot = np.zeros((n, c))
+        self.one_hot = np.empty((n, c))
         # encoder, both passes stacked by rows
         self.h1 = np.empty((2 * n, h1))
         self.h2 = np.empty((2 * n, h2))
@@ -320,11 +333,14 @@ class StepWorkspace:
         self.lv_raw = np.empty((n, d_z))
         self.lv = np.empty((n, d_z))
         self.logits = np.empty((n, c))
-        # decoder
+        # decoder, and the reconstruction loss's gradient and scratch
         self.cond_d = np.empty((n, g1))
         self.d1 = np.empty((n, g1))
         self.d2 = np.empty((n, g2))
         self.out = np.empty((n, d))
+        self.dout = np.empty((n, d))
+        self.bce_e = np.empty((n, d))
+        self.bce_tmp = np.empty((n, d))
         # relu and clip masks
         self.live1 = np.empty((2 * n, h1), dtype=bool)
         self.live2 = np.empty((2 * n, h2), dtype=bool)
@@ -341,6 +357,36 @@ class StepWorkspace:
         self.dd1 = np.empty((n, g1))
         self.dd2 = np.empty((n, g2))
 
+    def fit(self, model: ClareModel) -> None:
+        """Match ``model``'s class count, rebuilding only ``one_hot`` and
+        ``logits``; every other dimension must already match."""
+        if model.dims[1:] != self.dims[1:]:
+            raise ValueError(f"workspace shapes {self.dims} do not match the model {model.dims}")
+        if model.class_no != self.dims[0]:
+            self.one_hot = np.empty((self.n, model.class_no))
+            self.logits = np.empty((self.n, model.class_no))
+            self.dims = model.dims
+
+    def leading(self, k: int) -> StepWorkspace:
+        """A ``k``-row workspace over this one's leading rows.
+
+        Stacked encoder buffers give their first ``2k`` rows (``[:k]`` for
+        the classifier pass, ``[k:2k]`` for the VAE pass), every other buffer
+        its first ``k``; each view is one contiguous block. Nothing is
+        allocated but the views, which hold until the next ``fit``.
+        """
+        if not 1 <= k <= self.n:
+            raise ValueError(f"a {self.n}-row workspace has no {k}-row batch")
+        if k == self.n:
+            return self
+        view = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                # Stacked buffers have 2n rows, the rest n.
+                setattr(view, name, value[: len(value) // self.n * k])
+        view.n = k
+        return view
+
     def gather(self, images: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> None:
         """Copy minibatch ``rows`` of ``images`` and ``labels`` into the buffers.
 
@@ -356,11 +402,6 @@ class StepWorkspace:
         np.take(labels, rows, out=self.labels, mode="clip")
 
 
-def _dims(model: ClareModel) -> tuple:
-    """The architecture, as ``_param_shapes`` takes it."""
-    return (model.class_no, model.d_z, model.input_dim, model.enc_hidden, model.dec_hidden)
-
-
 def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) -> dict[str, float]:
     """One pass over the training objective; gradients go to the model's tape.
 
@@ -372,8 +413,8 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     Returns the three component values and their total. Raises
     ``NonFiniteError`` if the total is not finite.
     """
-    if ws.dims != _dims(model):
-        raise ValueError(f"workspace shapes {ws.dims} do not match the model {_dims(model)}")
+    if ws.dims != model.dims:
+        raise ValueError(f"workspace shapes {ws.dims} do not match the model {model.dims}")
     n, d, d_z = ws.n, model.input_dim, model.d_z
     labels = ws.labels
     if labels.min() < 0 or labels.max() >= model.class_no:
@@ -409,7 +450,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
 
     z = kernels.reparam_fwd(mu, ws.lv, ws.noise)
     decoder_logits(p, d_z, z, ws.one_hot, ws.cond_d, ws.d1, ws.d2, ws.out)
-    rec, dout = kernels.bce_logits(ws.out, x)
+    rec, dout = kernels.bce_logits(ws.out, x, ws.dout, ws.bce_e, ws.bce_tmp)
     kl, dmu_kl, dlv_kl = kernels.kl_terms(mu, ws.lv)
 
     total = ce + rec + kl * beta
@@ -467,7 +508,7 @@ def expand_classes(
     counterpart (``_param_shapes`` puts every class block last), so old-class
     logits and old-class reconstructions are bit-identical as long as the
     new one-hot positions stay zero. Newly added slices are freshly
-    initialized.
+    initialized. The grown tape keeps the source tape's capacity.
     """
     if new_class_no <= model.class_no:
         raise ValueError(
@@ -480,6 +521,7 @@ def expand_classes(
         enc_hidden=model.enc_hidden,
         dec_hidden=model.dec_hidden,
         rng=rng,
+        capacity=model.tape.capacity,
     )
     for name in model.tape.names():
         old = model.tape.param(name)

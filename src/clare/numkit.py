@@ -42,18 +42,23 @@ class ParamTape:
     The tape owns two contiguous float64 vectors, one for parameters and one
     for gradients; every named tensor is a reshaped view into them, so the
     optimizer and its finite scans each make one pass over a flat buffer.
-    Both are allocated once, zero-filled, when the tape is built.
+    Both are allocated once, zero-filled, when the tape is built, each as
+    the leading part of an allocation of ``capacity`` entries (at least the
+    tape's size). Tapes that grow by a few entries at a time but share one
+    capacity have allocations of one size, so each can take exactly the
+    memory the one before it freed.
 
     A training step assigns every gradient (nothing accumulates) and marks
     the tape populated; ``optimizer_step`` refuses to run on a tape whose
     gradients were not produced since the last update.
     """
 
-    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = ()):
+    def __init__(self, shapes: Iterable[tuple[str, tuple[int, ...]]] = (), capacity: int = 0):
         shapes = [(name, tuple(int(d) for d in shape)) for name, shape in shapes]
         sizes = [math.prod(shape) for _, shape in shapes]
-        self.flat_params = np.zeros(sum(sizes))
-        self.flat_grads = np.zeros(sum(sizes))
+        self.capacity = max(sum(sizes), capacity)
+        self.flat_params = np.zeros(self.capacity)[: sum(sizes)]
+        self.flat_grads = np.zeros(self.capacity)[: sum(sizes)]
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
         offset = 0
@@ -133,24 +138,33 @@ class OptimizerState:
     """Bias-corrected Adam over a ParamTape.
 
     Adam uses the usual ``(beta1, beta2, eps) = (0.9, 0.999, 1e-8)``; its two
-    moments are flat vectors matching the tape's flat buffers. The update
-    runs in place over blocks whose temporaries are rows of ``scratch``:
-    each worker of ``optimizer_step`` owns two rows. Moments and scratch are
-    allocated on the first step and reused after it.
+    moments are flat vectors at least as long as the tape's flat buffers,
+    and a tape uses their leading entries. The update runs in place over
+    blocks whose temporaries are rows of ``scratch``: each worker of
+    ``optimizer_step`` owns two rows. ``size`` allocates the moments up
+    front, for the largest tape the state will serve; otherwise, or for a
+    longer tape, the first step allocates them. The first step after
+    construction or ``restart`` zero-fills the part it uses, so one state
+    can serve a sequence of fresh optimizations without new memory.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, lr: float):
+    def __init__(self, lr: float, *, size: int = 0):
+        self.restart(lr)
+        self.m: np.ndarray | None = np.empty(size) if size else None
+        self.v: np.ndarray | None = np.empty(size) if size else None
+        self.scratch: np.ndarray | None = None
+
+    def restart(self, lr: float) -> None:
+        """Begin a fresh optimization at ``lr``: the next step is step 1,
+        from zero moments. Moments and scratch keep their memory."""
         if not (math.isfinite(lr) and lr > 0.0):
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
         self.step = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None
 
 
 # Tapes shorter than this many entries stay on one worker: handing half of
@@ -170,8 +184,9 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
     A tape of at least ``SPLIT_MIN`` entries is cut at block boundaries into
     one contiguous part per worker (``kernels.workers()``; ``_workers``
     overrides the count), and each worker scans and updates its part with
-    its own scratch rows. Every element sees the same operations at any
-    worker count, so the result does not depend on it.
+    its own scratch rows; on a state's first step, each worker also
+    zero-fills its part of the moments. Every element sees the same
+    operations at any worker count, so the result does not depend on it.
     """
     if not tape.populated:
         raise RuntimeError("optimizer_step before backward: tape has no gradients")
@@ -198,12 +213,16 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
     if not all(kernels.fork_join(grads_finite, spans)):
         tape.check_finite(g, "gradient of")
     state.step += 1
-    if state.m is None or state.m.shape != p.shape:
-        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-    m, v = state.m, state.v
+    if state.m is None or state.m.size < p.size:
+        state.m, state.v = np.empty_like(p), np.empty_like(p)
+    m, v = state.m[: p.size], state.v[: p.size]
+    first = state.step == 1
 
     def update(span) -> bool:
         part, scratch = span
+        if first:
+            m[part] = 0.0
+            v[part] = 0.0
         return kernels.adam_step(
             p[part], g[part], m[part], v[part], state.step, state.lr,
             OptimizerState.BETA1, OptimizerState.BETA2, OptimizerState.EPS, scratch,

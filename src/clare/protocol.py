@@ -22,7 +22,7 @@ from . import numkit as nk
 from .config import ExperimentConfig
 from .dataio import LabeledDataset, as_pixels, scale_pixels, subset_by_classes
 from .metrics import evaluate
-from .model import ClareModel, StepWorkspace, expand_classes, forward_backward
+from .model import ClareModel, StepWorkspace, expand_classes, forward_backward, param_count
 from .replay import balance_counts, generate_replay
 
 TRACE_KEYS = ("total", "classification", "reconstruction", "kl")
@@ -81,12 +81,47 @@ def _phase_seed(master_seed: int, phase: int) -> int:
     return int(np.random.SeedSequence([master_seed, phase]).generate_state(1)[0])
 
 
+class TrainingBuffers:
+    """Training memory for a run: one ``StepWorkspace`` and one Adam state.
+
+    ``dims`` is the largest architecture the buffers will train
+    (``ClareModel.dims``): the workspace takes ``batch_size`` rows and the
+    Adam moments one entry per parameter. ``run_experiment`` builds one
+    before its first model and passes it to every increment's
+    ``train_model``, so an increment allocates no training memory.
+    ``capacity``, the largest model's parameter count, is also what
+    ``run_increment`` reserves for each model's tape: every model of a run
+    then takes the same memory, and each can reuse what the last one freed.
+    """
+
+    def __init__(self, dims: tuple, batch_size: int, lr: float):
+        self.capacity = param_count(dims)
+        self.workspace = StepWorkspace(dims, batch_size)
+        self.optimizer = nk.OptimizerState(lr, size=self.capacity)
+
+    def prepare(self, model: ClareModel, batch_size: int, lr: float) -> None:
+        """Ready the buffers for a fresh training of ``model``.
+
+        The workspace follows the model's class count (``StepWorkspace.fit``),
+        or is rebuilt when it is too small or shaped for another network; the
+        optimizer restarts at step 0, from zero moments.
+        """
+        ws = self.workspace
+        if ws.n < batch_size or ws.dims[1:] != model.dims[1:]:
+            self.workspace = StepWorkspace(model.dims, batch_size)
+        else:
+            ws.fit(model)
+        self.optimizer.restart(lr)
+
+
 def train_model(
     model: ClareModel,
     images: np.ndarray,
     labels: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
+    *,
+    buffers: TrainingBuffers | None = None,
 ) -> dict[str, list[float]]:
     """Minimize the joint objective with shuffled minibatches.
 
@@ -95,11 +130,12 @@ def train_model(
     ``images`` holds float values or uint8 pixel bytes, which each step
     scales as it gathers them (``StepWorkspace.gather``).
 
-    Returns per-epoch means of each loss component. One optimizer lives for
-    the whole call; a fresh one is created per increment because class
-    expansion changes parameter shapes. Each batch size gets one
-    ``StepWorkspace``, allocated at its first step and reused after, so a
-    short last batch has its own. A ``NonFiniteError`` is re-raised with the
+    Returns per-epoch means of each loss component. Every call is a fresh
+    optimization: Adam restarts at step 0 from zero moments. The steps run
+    in ``buffers`` (see ``TrainingBuffers.prepare``), or in buffers
+    allocated for this call when none are given. Either way one workspace
+    serves every step: a short last batch runs on views of its leading rows
+    (``StepWorkspace.leading``). A ``NonFiniteError`` is re-raised with the
     epoch and step (both counted from 0) where training diverged and the
     last loss components computed before it.
     """
@@ -114,17 +150,21 @@ def train_model(
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     rows = rng.permutation(n)
-    state = nk.OptimizerState(config.lr)
-    workspaces: dict[int, StepWorkspace] = {}
+    batch = min(config.batch_size, n)
+    if buffers is None:
+        buffers = TrainingBuffers(model.dims, batch, config.lr)
+    else:
+        buffers.prepare(model, batch, config.lr)
+    state = buffers.optimizer
+    # Every batch has ``batch`` rows but a short last one of n % batch_size.
+    workspaces = {k: buffers.workspace.leading(k) for k in (batch, n % config.batch_size) if k}
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
     parts: dict[str, float] = {}
     for epoch in range(config.epochs):
         sums = dict.fromkeys(TRACE_KEYS, 0.0)
         batches = 0
         for step, idx in enumerate(nk.iter_minibatches(n, config.batch_size, rng)):
-            ws = workspaces.get(idx.shape[0])
-            if ws is None:
-                ws = workspaces[idx.shape[0]] = StepWorkspace(model, idx.shape[0])
+            ws = workspaces[idx.shape[0]]
             ws.gather(images, labels, rows[idx])
             rng.standard_normal(out=ws.noise)
             try:
@@ -151,6 +191,8 @@ def run_increment(
     config: ExperimentConfig,
     seed: int,
     on_replay=None,
+    *,
+    buffers: TrainingBuffers | None = None,
 ) -> IncrementState:
     """One increment: replay, merge, retrain, evaluate.
 
@@ -165,6 +207,7 @@ def run_increment(
     fails, so a retry needs a model put back, e.g. from ``load_model``; with
     replay on or a warm start, a state that has learned classes but no model
     raises ``ValueError``. Nothing else in the input state changes.
+    ``buffers`` goes to ``train_model``.
     """
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
@@ -174,8 +217,9 @@ def run_increment(
     if overlap:
         raise ValueError(f"classes {sorted(overlap)} were already learned")
     if state.learned and state.model is None and (config.replay or config.start == "warm"):
+        need = "replay from" if config.replay else "warm-start from"
         raise ValueError(
-            "state has learned classes but no model to replay from; run_increment "
+            f"state has learned classes but no model to {need}; run_increment "
             "takes the model out of the state it is given, even when the increment "
             "then fails, so a retry needs the state it returned or "
             "IncrementState(learned, load_model(path), history)"
@@ -229,11 +273,12 @@ def run_increment(
             enc_hidden=config.enc_hidden,
             dec_hidden=config.dec_hidden,
             rng=init_rng,
+            capacity=0 if buffers is None else buffers.capacity,
         )
     del previous
 
     try:
-        trace = train_model(model, train_x, train_y, config, train_rng)
+        trace = train_model(model, train_x, train_y, config, train_rng, buffers=buffers)
     except nk.NonFiniteError as err:
         raise nk.NonFiniteError(f"increment {phase}: {err}") from err
     # The seen test rows are copied next; the training array goes first.
@@ -267,13 +312,23 @@ def run_experiment(
     seed: int,
     on_replay=None,
 ) -> list[MetricsRecord]:
-    """Run every increment of ``schedule`` and return its metric records."""
+    """Run every increment of ``schedule`` and return its metric records.
+
+    One ``TrainingBuffers``, sized for the schedule's final class count,
+    serves every increment's training; it is built before the first model
+    and freed on return.
+    """
     config = config.resolved()
+    classes = sum(len(group) for group in schedule.groups)
+    dims = (classes, config.d_z, train_data.dim,
+            tuple(config.enc_hidden), tuple(config.dec_hidden))
+    buffers = TrainingBuffers(dims, config.batch_size, config.lr)
     state = IncrementState()
     for phase, group in enumerate(schedule.groups):
         group_data = subset_by_classes(train_data, group)
         state = run_increment(
-            state, group_data, test_data, config, _phase_seed(seed, phase), on_replay
+            state, group_data, test_data, config, _phase_seed(seed, phase), on_replay,
+            buffers=buffers,
         )
     return state.history
 

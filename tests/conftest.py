@@ -52,7 +52,7 @@ def filled_workspace(
     model: ClareModel, x: np.ndarray, labels: np.ndarray, noise: np.ndarray
 ) -> StepWorkspace:
     """A fresh ``StepWorkspace`` holding one given batch."""
-    ws = StepWorkspace(model, len(labels))
+    ws = StepWorkspace(model.dims, len(labels))
     ws.x[...] = x
     ws.labels[...] = labels
     ws.noise[...] = noise

@@ -594,6 +594,21 @@ class TestCli:
 
         assert timeless(out.read_text(encoding="utf-8")) == timeless(want)
 
+    def test_seeds_run_in_one_process_match_each_seed_run_alone(self):
+        # Training buffers live for one run: a seed's records do not depend
+        # on the run before it in the same process.
+        config = merge_config(build_parser().parse_args(TOY_ARGS)).resolved()
+        train, test = harness.load_datasets(config)
+
+        def records(seed):
+            got = harness.run_mode("clare", train, test, replace(config, seed=seed), seed)
+            return [replace(record, seconds=0.0) for record in got]
+
+        alone = {seed: records(seed) for seed in (2, 1)}
+        together = {seed: records(seed) for seed in (1, 2)}
+        assert together == alone
+        assert alone[1] != alone[2]
+
     def test_dump_replay_rejects_labels_above_a_byte(self, tmp_path, capsys):
         dump = tmp_path / "buffers"
         code = run_cli(["--dataset", "toy", "--toy-classes", "257", "--toy-dim", "9",

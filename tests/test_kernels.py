@@ -34,12 +34,21 @@ class TestStability:
 
 
 class TestNumpyAgainstOracles:
-    def test_bce_logits_is_bit_identical_to_the_branchwise_formula(self):
+    @pytest.mark.parametrize("buffers", [0, 3])
+    def test_bce_logits_is_bit_identical_to_the_branchwise_formula(self, buffers):
+        # Also with three caller buffers, which start as NaN so that any
+        # entry read before it is written shows.
         rng = np.random.default_rng(9)
         logits = rng.standard_normal((128, 784)) * 6.0
         logits[0, :8] = [800.0, -800.0, 0.0, -0.0, 40.0, -40.0, 5e-324, -5e-324]
         targets = rng.uniform(size=(128, 784))
-        bce = kernels.bce_logits
+        given = [np.full(logits.shape, np.nan) for _ in range(buffers)]
+
+        def bce(logits, targets):
+            loss, grad = kernels.bce_logits(logits, targets, *given)
+            assert not given or grad is given[0]
+            return loss, grad
+
         loss, grad = bce(logits, targets)
         want_loss, want_grad = bce_logits_oracle(logits, targets)
         assert loss == want_loss
@@ -69,6 +78,38 @@ class TestNumpyAgainstOracles:
             tracemalloc.stop()
         # A boolean mask of the logits would add logits.nbytes / 8.
         assert peak < 2 * logits.nbytes + logits.nbytes // 32
+
+    def test_bce_logits_into_caller_buffers_makes_no_image_sized_temporary(self):
+        rng = np.random.default_rng(11)
+        logits = rng.standard_normal((512, 784)) * 6.0
+        targets = rng.uniform(size=logits.shape)
+        buffers = [np.empty_like(logits) for _ in range(3)]
+        kernels.bce_logits(logits, targets, *buffers)
+        tracemalloc.start()
+        try:
+            kernels.bce_logits(logits, targets, *buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.nbytes // 32, f"peak {peak} bytes"
+
+    def test_bce_logits_computes_the_exponential_once_with_caller_buffers(self, monkeypatch):
+        # With a third buffer exp(-|l|) is held; with two it is recomputed.
+        rng = np.random.default_rng(13)
+        logits = rng.standard_normal((4, 6))
+        targets = rng.uniform(size=logits.shape)
+        calls = []
+        real = np.exp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "exp", counted)
+        kernels.bce_logits(logits, targets, *(np.empty_like(logits) for _ in range(3)))
+        assert len(calls) == 1
+        kernels.bce_logits(logits, targets)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("in_place", [False, True])
     def test_sigmoid_fwd_is_bit_identical_to_the_branchwise_formula(self, in_place):

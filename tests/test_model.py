@@ -390,7 +390,7 @@ class TestTotalLoss:
         m = mini_model()
         other = ClareModel(**{**MINI, "d_z": m.d_z + 1})
         with pytest.raises(ValueError, match="workspace shapes"):
-            forward_backward(m, StepWorkspace(other, 8))
+            forward_backward(m, StepWorkspace(other.dims, 8))
 
     def test_labels_out_of_range_rejected(self):
         m = mini_model()
@@ -474,6 +474,14 @@ class TestExpansion:
     def test_shrinking_rejected(self):
         with pytest.raises(ValueError, match="grow"):
             expand_classes(mini_model(), 2, np.random.default_rng(0))
+
+    def test_growth_keeps_the_tape_capacity(self):
+        # A run reserves its largest tape for every model, warm starts too.
+        base = ClareModel(rng=np.random.default_rng(24), capacity=10_000, **MINI)
+        grown = expand_classes(base, 3, np.random.default_rng(25))
+        assert base.tape.capacity == grown.tape.capacity == 10_000
+        assert grown.tape.flat_params.size < 10_000
+        assert grown.tape.flat_params.base.size == grown.tape.flat_grads.base.size == 10_000
 
 
 class TestCheckpoint:

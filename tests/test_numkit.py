@@ -235,6 +235,37 @@ class TestOptimizers:
         with pytest.raises(RuntimeError, match="before backward"):
             nk.optimizer_step(tape, state)
 
+    def test_moments_sized_up_front_serve_a_shorter_tape(self):
+        # The tape uses the leading entries; a restart starts from zero
+        # moments again, with the same memory.
+        state = nk.OptimizerState(0.1, size=5)
+        m, v = state.m, state.v
+        fresh = nk.OptimizerState(0.1)
+        got, want = _tape_holding(np.ones(3)), _tape_holding(np.ones(3))
+        for _ in range(2):
+            for tape, s in ((got, state), (want, fresh)):
+                _set_quadratic_grad(tape)
+                nk.optimizer_step(tape, s)
+            assert np.array_equal(got.flat_params, want.flat_params)
+            assert np.array_equal(state.m[:3], fresh.m)
+            assert np.array_equal(state.v[:3], fresh.v)
+            state.restart(0.1)
+            fresh = nk.OptimizerState(0.1)
+            assert state.step == 0
+        assert state.m is m and state.v is v
+
+    def test_a_longer_tape_gets_new_moments(self):
+        state = nk.OptimizerState(0.1, size=2)
+        tape = _tape_holding(np.ones(3))
+        _set_quadratic_grad(tape)
+        nk.optimizer_step(tape, state)
+        assert state.m.size == state.v.size == 3
+
+    def test_restart_checks_the_learning_rate(self):
+        state = nk.OptimizerState(0.1)
+        with pytest.raises(ValueError, match="finite and positive"):
+            state.restart(float("nan"))
+
     def test_state_takes_only_a_learning_rate(self):
         # Adam is the only optimizer, so there is no kind to pass.
         with pytest.raises(TypeError):
@@ -261,6 +292,15 @@ class TestTapeContracts:
             tape.param("nope")
         with pytest.raises(KeyError):
             tape.grad("nope")
+
+    def test_capacity_is_the_size_of_each_flat_allocation(self):
+        tape = nk.ParamTape([("w", (2, 3)), ("b", (2,))], capacity=20)
+        assert tape.capacity == 20
+        for flat in (tape.flat_params, tape.flat_grads):
+            assert flat.size == 8 and flat.base.size == 20
+            assert not flat.any()
+        # A capacity below the tape's size is the size.
+        assert nk.ParamTape([("w", (2, 3))], capacity=4).capacity == 6
 
     def test_params_stored_as_float64(self):
         tape = nk.ParamTape([("w", (2, 2))])

@@ -21,10 +21,12 @@ from clare.model import (
     expand_classes,
     forward_backward,
     load_model,
+    param_count,
     save_model,
 )
 from clare.protocol import (
     IncrementState,
+    TrainingBuffers,
     _phase_seed,
     build_schedule,
     run_experiment,
@@ -156,7 +158,8 @@ class TestRunIncrement:
 
     @pytest.mark.parametrize("replay, start", [(True, "scratch"), (False, "warm")])
     def test_replay_or_a_warm_start_without_a_model_is_rejected(self, data, replay, start):
-        # A warm start with no model must not quietly train from scratch.
+        # A warm start with no model must not quietly train from scratch,
+        # and its error names the warm start, not replay.
         train, test = data
         state = run_increment(
             IncrementState(), subset_by_classes(train, [0]), test, FAST, 8
@@ -164,7 +167,8 @@ class TestRunIncrement:
         state.model = None
         history = list(state.history)
         config = replace(FAST, replay=replay, start=start)
-        with pytest.raises(ValueError, match="no model to replay from"):
+        need = "replay from" if replay else "warm-start from"
+        with pytest.raises(ValueError, match=f"no model to {need};"):
             run_increment(state, subset_by_classes(train, [1]), test, config, 9)
         assert state.learned == [0] and state.history == history
 
@@ -297,17 +301,18 @@ class TestStepWorkspace:
         nk.optimizer_step(model.tape, state)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
-    def test_steady_state_digit_step_allocates_under_2_mib(self, dtype):
-        # 784-512-256-64 at batch 128: every activation and gradient lives in
-        # the workspace or the tape; what is left is kernel temporaries, and
-        # for pixel bytes the gathered batch before it is scaled.
+    def test_steady_state_digit_step_allocates_under_half_a_mib(self, dtype):
+        # 784-512-256-64 at batch 128: every activation, gradient and loss
+        # buffer lives in the workspace or the tape; what is left is the
+        # latent-width kernels' results, and for pixel bytes the gathered
+        # batch before it is scaled (100 KB).
         model = ClareModel(class_no=10, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         images = rng.uniform(size=(256, 784))
         if dtype == np.uint8:
             images = np.round(images * 255.0).astype(np.uint8)
         labels = rng.integers(0, 10, size=256)
-        ws = StepWorkspace(model, 128)
+        ws = StepWorkspace(model.dims, 128)
         state = nk.OptimizerState(1e-3)
         self._step(model, ws, state, images, labels, np.arange(128), rng)
         buffers = dict(vars(ws))
@@ -318,54 +323,90 @@ class TestStepWorkspace:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20, f"step peak {peak / 2**20:.2f} MiB"
+        assert peak < 2**20 // 2, f"step peak {peak / 2**20:.2f} MiB"
         assert vars(ws).keys() == buffers.keys()
         for name, value in buffers.items():
             assert vars(ws)[name] is value, name
 
-    def test_one_workspace_per_batch_size_and_results_match_fresh_ones(self, monkeypatch):
+    def test_one_workspace_per_run_and_results_match_fresh_buffers(self, data, monkeypatch):
+        # Two increments in batches of 16, growing from 2 to 3 classes: 120
+        # rows (a short batch of 8), then 120 replayed and 60 new rows (a
+        # short batch of 4).
+        train, test = data
+        schedule = build_schedule([0, 1, 2], g=2)
         config = replace(FAST, epochs=2)
-        rng = np.random.default_rng(5)
-        images = rng.uniform(size=(40, 4))
-        labels = rng.integers(0, 3, size=40)
+        evaluate = protocol.evaluate
 
-        def fresh_model():
-            return ClareModel(class_no=3, d_z=2, input_dim=4, enc_hidden=(12, 10),
-                              dec_hidden=(10, 12), rng=np.random.default_rng(6))
+        def fresh_buffers(model, images, labels, config, rng, *, buffers):
+            # Reference training: a fresh workspace for every step and a fresh
+            # optimizer per increment, with train_model's draws from ``rng``.
+            n = len(labels)
+            rows = rng.permutation(n)
+            state = nk.OptimizerState(config.lr)
+            trace = {key: [] for key in protocol.TRACE_KEYS}
+            for _ in range(config.epochs):
+                sums = dict.fromkeys(protocol.TRACE_KEYS, 0.0)
+                steps = list(nk.iter_minibatches(n, config.batch_size, rng))
+                for idx in steps:
+                    ws = StepWorkspace(model.dims, idx.shape[0])
+                    ws.gather(images, labels, rows[idx])
+                    rng.standard_normal(out=ws.noise)
+                    parts = forward_backward(model, ws, config.beta)
+                    nk.optimizer_step(model.tape, state)
+                    for key in protocol.TRACE_KEYS:
+                        sums[key] += parts[key]
+                for key in protocol.TRACE_KEYS:
+                    trace[key].append(sums[key] / len(steps))
+            return trace
 
-        # Reference: a fresh workspace for every step, so nothing carries over.
-        # train_model first draws a row order, then shuffles it each epoch.
-        want = fresh_model()
-        state = nk.OptimizerState(config.lr)
-        ref_rng = np.random.default_rng(7)
-        order = ref_rng.permutation(40)
-        for _ in range(config.epochs):
-            for idx in nk.iter_minibatches(40, config.batch_size, ref_rng):
-                self._step(want, StepWorkspace(want, idx.shape[0]), state, images, labels,
-                           order[idx], ref_rng)
+        def run(training=None):
+            models = []
+
+            def spy_evaluate(model, images, labels):
+                models.append((model.tape.capacity, model.tape.flat_params.copy()))
+                return evaluate(model, images, labels)
+
+            with monkeypatch.context() as m:
+                m.setattr(protocol, "evaluate", spy_evaluate)
+                if training is not None:
+                    m.setattr(protocol, "train_model", training)
+                records = run_experiment(train, test, schedule, config, seed=31)
+            return [replace(r, seconds=0.0) for r in records], models
+
+        want, want_models = run(fresh_buffers)
 
         made, seen = [], []
 
         class Recording(StepWorkspace):
-            def __init__(self, model, batch):
-                super().__init__(model, batch)
+            def __init__(self, dims, batch):
+                super().__init__(dims, batch)
                 made.append(self)
 
         def spy(model, ws, beta=1.0):
-            seen.append((ws, {name: id(value) for name, value in vars(ws).items()}))
+            # Every buffer of the step's workspace is, or is a view of, the
+            # one workspace's current buffer of that name.
+            (full,) = made
+            views = all(
+                np.shares_memory(value, getattr(full, name))
+                for name, value in vars(ws).items()
+                if isinstance(value, np.ndarray)
+            )
+            seen.append((ws.n, views))
             return forward_backward(model, ws, beta)
 
         monkeypatch.setattr(protocol, "StepWorkspace", Recording)
         monkeypatch.setattr(protocol, "forward_backward", spy)
-        got = fresh_model()
-        train_model(got, images, labels, config, np.random.default_rng(7))
+        got, got_models = run()
 
-        # Batches of 16, 16 and a short 8, twice: two workspaces, each reused.
-        assert [ws.n for ws in made] == [16, 8]
-        assert [ws.n for ws, _ in seen] == [16, 16, 8] * 2
-        for ws, ids in seen:
-            assert ids == {name: id(value) for name, value in vars(ws).items()}
-        assert np.array_equal(got.tape.flat_params, want.tape.flat_params)
+        assert [ws.n for ws in made] == [16]
+        assert [n for n, _ in seen] == ([16] * 7 + [8]) * 2 + ([16] * 11 + [4]) * 2
+        assert all(views for _, views in seen)
+        assert got == want
+        # Both models reserve the 3-class tape's size.
+        assert [cap for cap, _ in got_models] == [param_count(made[0].dims)] * 2
+        assert len(got_models) == len(want_models) == 2
+        for (_, got_params), (_, want_params) in zip(got_models, want_models):
+            assert np.array_equal(got_params, want_params)
 
     @pytest.mark.parametrize("n_images, n_labels", [(10, 5), (5, 10)])
     def test_length_mismatch_rejected_before_drawing(self, n_images, n_labels):
@@ -382,6 +423,69 @@ class TestStepWorkspace:
         assert rng.bit_generator.state == state
         assert np.array_equal(model.tape.flat_params, before)
 
+
+
+class TestTrainingBuffers:
+    """One workspace and one Adam state reused across train_model calls."""
+
+    ARCH = dict(d_z=2, input_dim=4, enc_hidden=(12, 10), dec_hidden=(10, 12))
+
+    def _train(self, class_no, buffers):
+        # 40 rows in batches of 16: the last batch is short.
+        model = ClareModel(class_no=class_no, **self.ARCH, rng=np.random.default_rng(class_no))
+        rng = np.random.default_rng(50 + class_no)
+        images = rng.uniform(size=(40, 4))
+        labels = rng.integers(0, class_no, size=40)
+        trace = train_model(model, images, labels, replace(FAST, epochs=2), rng, buffers=buffers)
+        return trace, model.tape.flat_params
+
+    def _buffers(self, class_no):
+        dims = (class_no, 2, 4, (12, 10), (10, 12))
+        return TrainingBuffers(dims, FAST.batch_size, FAST.lr)
+
+    def test_a_reused_state_matches_fresh_ones(self):
+        # The second tape is one class larger: both fit the moments, which
+        # restart from zero instead of carrying the first call's values.
+        buffers = self._buffers(3)
+        ws, m, v = buffers.workspace, buffers.optimizer.m, buffers.optimizer.v
+        for class_no in (2, 3):
+            got_trace, got = self._train(class_no, buffers)
+            want_trace, want = self._train(class_no, None)
+            assert got_trace == want_trace
+            assert np.array_equal(got, want), class_no
+        assert buffers.workspace is ws
+        assert buffers.optimizer.m is m and buffers.optimizer.v is v
+
+    def test_a_tape_larger_than_the_moments_gets_new_ones(self):
+        buffers = self._buffers(2)
+        self._train(2, buffers)
+        small = buffers.optimizer.m
+        got_trace, got = self._train(3, buffers)
+        want_trace, want = self._train(3, None)
+        assert buffers.optimizer.m is not small
+        assert buffers.optimizer.m.size == buffers.optimizer.v.size == got.size > small.size
+        assert got_trace == want_trace
+        assert np.array_equal(got, want)
+
+    def test_a_batch_larger_than_the_workspace_gets_a_new_one(self):
+        buffers = TrainingBuffers((3, 2, 4, (12, 10), (10, 12)), 8, FAST.lr)
+        got_trace, got = self._train(3, buffers)
+        want_trace, want = self._train(3, None)
+        assert buffers.workspace.n == FAST.batch_size
+        assert got_trace == want_trace
+        assert np.array_equal(got, want)
+
+    def test_a_leading_view_rejects_other_row_counts(self):
+        ws = self._buffers(3).workspace
+        assert ws.leading(ws.n) is ws
+        for k in (0, ws.n + 1):
+            with pytest.raises(ValueError, match=f"no {k}-row batch"):
+                ws.leading(k)
+
+    def test_fit_rejects_another_network(self):
+        ws = self._buffers(3).workspace
+        with pytest.raises(ValueError, match="workspace shapes"):
+            ws.fit(ClareModel(class_no=3, **{**self.ARCH, "d_z": 3}))
 
 class TestDeterminism:
     def test_same_seed_reproduces_every_metric(self, data):

@@ -312,8 +312,8 @@ class StepWorkspace:
     shared layers over both passes' rows in one product.
 
     One workspace serves a whole run: a shorter batch runs on views of its
-    leading rows (``leading``), and ``fit`` follows a model with another
-    class count by rebuilding the two class-wide buffers.
+    leading rows (``leading``), and a model with fewer classes on the
+    leading columns of ``one_hot`` and ``logits`` (``check``).
     """
 
     def __init__(self, dims: tuple, batch: int):
@@ -357,15 +357,10 @@ class StepWorkspace:
         self.dd1 = np.empty((n, g1))
         self.dd2 = np.empty((n, g2))
 
-    def fit(self, model: ClareModel) -> None:
-        """Match ``model``'s class count, rebuilding only ``one_hot`` and
-        ``logits``; every other dimension must already match."""
-        if model.dims[1:] != self.dims[1:]:
+    def check(self, model: ClareModel) -> None:
+        """Raise ``ValueError`` unless ``model`` has ``dims``, or those with fewer classes."""
+        if model.dims[1:] != self.dims[1:] or model.class_no > self.dims[0]:
             raise ValueError(f"workspace shapes {self.dims} do not match the model {model.dims}")
-        if model.class_no != self.dims[0]:
-            self.one_hot = np.empty((self.n, model.class_no))
-            self.logits = np.empty((self.n, model.class_no))
-            self.dims = model.dims
 
     def leading(self, k: int) -> StepWorkspace:
         """A ``k``-row workspace over this one's leading rows.
@@ -373,7 +368,7 @@ class StepWorkspace:
         Stacked encoder buffers give their first ``2k`` rows (``[:k]`` for
         the classifier pass, ``[k:2k]`` for the VAE pass), every other buffer
         its first ``k``; each view is one contiguous block. Nothing is
-        allocated but the views, which hold until the next ``fit``.
+        allocated but the views.
         """
         if not 1 <= k <= self.n:
             raise ValueError(f"a {self.n}-row workspace has no {k}-row batch")
@@ -413,8 +408,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     Returns the three component values and their total. Raises
     ``NonFiniteError`` if the total is not finite.
     """
-    if ws.dims != model.dims:
-        raise ValueError(f"workspace shapes {ws.dims} do not match the model {model.dims}")
+    ws.check(model)
     n, d, d_z = ws.n, model.input_dim, model.d_z
     labels = ws.labels
     if labels.min() < 0 or labels.max() >= model.class_no:
@@ -424,14 +418,16 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
         )
     p, g = model.tape.param, model.tape.grad
     x = ws.x
-    ws.one_hot.fill(0.0)
-    ws.one_hot[ws.rows, labels] = 1.0
+    # A workspace built for more classes lends its leading class columns.
+    codes, logits = ws.one_hot[:, : model.class_no], ws.logits[:, : model.class_no]
+    codes.fill(0.0)
+    codes[ws.rows, labels] = 1.0
 
     # Encoder layer 1: x @ Wx.T once for both passes. The one-hot condition
     # adds column W1[:, d + label], picked out by a (n, class_no) product.
     cls1, vae1 = ws.h1[:n], ws.h1[n:]
     encoder_layer1(p, d, x, cls1)
-    np.matmul(ws.one_hot, p("enc_w1")[:, d:].T, out=vae1)
+    np.matmul(codes, p("enc_w1")[:, d:].T, out=vae1)
     vae1 += cls1
     h2_cls, h2_vae = ws.h2[:n], ws.h2[n:]
     mu0, mu = ws.mu[:n], ws.mu[n:]
@@ -445,11 +441,11 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     np.less(ws.lv_raw, LOG_VAR_MAX, out=ws.below)
     ws.inside &= ws.below
 
-    classifier_logits(p, mu0, ws.logits)
-    ce, dlogits = kernels.softmax_xent(ws.logits, labels)
+    classifier_logits(p, mu0, logits)
+    ce, dlogits = kernels.softmax_xent(logits, labels)
 
     z = kernels.reparam_fwd(mu, ws.lv, ws.noise)
-    decoder_logits(p, d_z, z, ws.one_hot, ws.cond_d, ws.d1, ws.d2, ws.out)
+    decoder_logits(p, d_z, z, codes, ws.cond_d, ws.d1, ws.d2, ws.out)
     rec, dout = kernels.bce_logits(ws.out, x, ws.dout, ws.bce_e, ws.bce_tmp)
     kl, dmu_kl, dlv_kl = kernels.kl_terms(mu, ws.lv)
 
@@ -463,7 +459,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     nk.linear_backward(ws.dd2, ws.d1, p("dec_w2"), g("dec_w2"), g("dec_b2"), ws.dd1)
     ws.dd1 *= np.greater(ws.d1, 0.0, out=ws.live_d1)
     nk.linear_backward(ws.dd1, z, p("dec_w1")[:, :d_z], g("dec_w1")[:, :d_z], g("dec_b1"), ws.dz)
-    np.matmul(ws.dd1.T, ws.one_hot, out=g("dec_w1")[:, d_z:])
+    np.matmul(ws.dd1.T, codes, out=g("dec_w1")[:, d_z:])
 
     # Latent: the draw, the KL pull and the clip.
     dmu0, dmu = ws.dmu[:n], ws.dmu[n:]
@@ -486,7 +482,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     # Encoder layer 1: both passes saw the same image, so their gradients
     # sum before the single image product; only the VAE pass saw a condition.
     d_cls, d_vae = ws.dh1[:n], ws.dh1[n:]
-    np.matmul(d_vae.T, ws.one_hot, out=g("enc_w1")[:, d:])
+    np.matmul(d_vae.T, codes, out=g("enc_w1")[:, d:])
     d_cls += d_vae
     nk.linear_backward(d_cls, x, None, g("enc_w1")[:, :d], g("enc_b1"))
 

@@ -141,21 +141,21 @@ class OptimizerState:
     moments are flat vectors at least as long as the tape's flat buffers,
     and a tape uses their leading entries. The update runs in place over
     blocks whose temporaries are rows of ``scratch``: each worker of
-    ``optimizer_step`` owns two rows. ``size`` allocates the moments up
-    front, for the largest tape the state will serve; otherwise, or for a
-    longer tape, the first step allocates them. The first step after
-    construction or ``restart`` zero-fills the part it uses, so one state
-    can serve a sequence of fresh optimizations without new memory.
+    ``optimizer_step`` owns two rows. A step on a tape longer than the
+    moments (or the first step) allocates them zeroed, with ``tape.capacity``
+    entries, so a run's tapes, which share one capacity, allocate them once.
+    The first step after ``restart`` zero-fills the part it uses, so one
+    state serves a sequence of fresh optimizations without new memory.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, lr: float, *, size: int = 0):
+    def __init__(self, lr: float):
         self.restart(lr)
-        self.m: np.ndarray | None = np.empty(size) if size else None
-        self.v: np.ndarray | None = np.empty(size) if size else None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.scratch: np.ndarray | None = None
 
     def restart(self, lr: float) -> None:
@@ -214,7 +214,7 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
         tape.check_finite(g, "gradient of")
     state.step += 1
     if state.m is None or state.m.size < p.size:
-        state.m, state.v = np.empty_like(p), np.empty_like(p)
+        state.m, state.v = np.zeros(tape.capacity), np.zeros(tape.capacity)
     m, v = state.m[: p.size], state.v[: p.size]
     first = state.step == 1
 

@@ -85,33 +85,20 @@ class TrainingBuffers:
     """Training memory for a run: one ``StepWorkspace`` and one Adam state.
 
     ``dims`` is the largest architecture the buffers will train
-    (``ClareModel.dims``): the workspace takes ``batch_size`` rows and the
-    Adam moments one entry per parameter. ``run_experiment`` builds one
-    before its first model and passes it to every increment's
+    (``ClareModel.dims``) and ``batch_size`` the largest batch: the
+    workspace is built for both and never refitted. ``capacity``, the
+    largest model's parameter count, is what ``run_increment`` reserves for
+    each model's tape: every model of a run then takes the same memory, and
+    each can reuse what the last one freed. The Adam moments take that
+    capacity on the first step (``OptimizerState``). ``run_experiment``
+    builds one before its first model and passes it to every increment's
     ``train_model``, so an increment allocates no training memory.
-    ``capacity``, the largest model's parameter count, is also what
-    ``run_increment`` reserves for each model's tape: every model of a run
-    then takes the same memory, and each can reuse what the last one freed.
     """
 
     def __init__(self, dims: tuple, batch_size: int, lr: float):
         self.capacity = param_count(dims)
         self.workspace = StepWorkspace(dims, batch_size)
-        self.optimizer = nk.OptimizerState(lr, size=self.capacity)
-
-    def prepare(self, model: ClareModel, batch_size: int, lr: float) -> None:
-        """Ready the buffers for a fresh training of ``model``.
-
-        The workspace follows the model's class count (``StepWorkspace.fit``),
-        or is rebuilt when it is too small or shaped for another network; the
-        optimizer restarts at step 0, from zero moments.
-        """
-        ws = self.workspace
-        if ws.n < batch_size or ws.dims[1:] != model.dims[1:]:
-            self.workspace = StepWorkspace(model.dims, batch_size)
-        else:
-            ws.fit(model)
-        self.optimizer.restart(lr)
+        self.optimizer = nk.OptimizerState(lr)
 
 
 def train_model(
@@ -132,11 +119,11 @@ def train_model(
 
     Returns per-epoch means of each loss component. Every call is a fresh
     optimization: Adam restarts at step 0 from zero moments. The steps run
-    in ``buffers`` (see ``TrainingBuffers.prepare``), or in buffers
-    allocated for this call when none are given. Either way one workspace
-    serves every step: a short last batch runs on views of its leading rows
-    (``StepWorkspace.leading``). A ``NonFiniteError`` is re-raised with the
-    epoch and step (both counted from 0) where training diverged and the
+    in ``buffers``, or in buffers allocated for this call; a workspace too
+    small for a batch or unfit for ``model`` (``StepWorkspace.check``) is
+    rejected. A short last batch runs on views of the workspace's leading
+    rows (``StepWorkspace.leading``). A ``NonFiniteError`` is re-raised with
+    the epoch and step (both counted from 0) where training diverged and the
     last loss components computed before it.
     """
     images = as_pixels(images)
@@ -149,15 +136,15 @@ def train_model(
     n = images.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    rows = rng.permutation(n)
     batch = min(config.batch_size, n)
     if buffers is None:
         buffers = TrainingBuffers(model.dims, batch, config.lr)
-    else:
-        buffers.prepare(model, batch, config.lr)
-    state = buffers.optimizer
+    buffers.workspace.check(model)
     # Every batch has ``batch`` rows but a short last one of n % batch_size.
     workspaces = {k: buffers.workspace.leading(k) for k in (batch, n % config.batch_size) if k}
+    state = buffers.optimizer
+    state.restart(config.lr)
+    rows = rng.permutation(n)
     trace: dict[str, list[float]] = {key: [] for key in TRACE_KEYS}
     parts: dict[str, float] = {}
     for epoch in range(config.epochs):
@@ -314,15 +301,29 @@ def run_experiment(
 ) -> list[MetricsRecord]:
     """Run every increment of ``schedule`` and return its metric records.
 
-    One ``TrainingBuffers``, sized for the schedule's final class count,
-    serves every increment's training; it is built before the first model
-    and freed on return.
+    A scheduled class missing from a split is rejected, naming the split,
+    before anything trains. One ``TrainingBuffers`` serves every increment,
+    sized for the final class count and the largest batch: ``batch_size``,
+    or the largest increment's rows if fewer. It is freed on return.
     """
     config = config.resolved()
-    classes = sum(len(group) for group in schedule.groups)
-    dims = (classes, config.d_z, train_data.dim,
+    counts = train_data.per_class_counts()
+    scheduled = {c for group in schedule.groups for c in group}
+    for split, present in (("training", counts), ("test", test_data.class_index)):
+        missing = sorted(scheduled - set(present))
+        if missing:
+            raise ValueError(f"scheduled classes {missing} are not in the {split} split")
+    # An increment trains on its new rows and, as in ``run_increment``,
+    # replays every learned class when replay is on.
+    rows, learned = 0, 0
+    for group in schedule.groups:
+        new = {c: counts[c] for c in group}
+        replayed = balance_counts(list(range(learned)), new) if config.replay and learned else {}
+        rows = max(rows, sum(new.values()) + sum(replayed.values()))
+        learned += len(group)
+    dims = (learned, config.d_z, train_data.dim,
             tuple(config.enc_hidden), tuple(config.dec_hidden))
-    buffers = TrainingBuffers(dims, config.batch_size, config.lr)
+    buffers = TrainingBuffers(dims, min(config.batch_size, rows), config.lr)
     state = IncrementState()
     for phase, group in enumerate(schedule.groups):
         group_data = subset_by_classes(train_data, group)

@@ -3,8 +3,11 @@ and the acceptance summary."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from clare.config import ExperimentConfig
 from clare.dataio import make_toy_dataset
@@ -14,6 +17,13 @@ from clare.protocol import IncrementState, _phase_seed, run_increment
 
 TOY_CLASSES = 3
 TOY_DIM = 16
+
+# Example counts for property tests that leave them to the profile: a few
+# by default, so the suite stays quick, and more under
+# ``HYPOTHESIS_PROFILE=ci``.
+settings.register_profile("dev", max_examples=20)
+settings.register_profile("ci", max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture(scope="session")

@@ -236,30 +236,45 @@ class TestOptimizers:
             nk.optimizer_step(tape, state)
 
     def test_moments_sized_up_front_serve_a_shorter_tape(self):
-        # The tape uses the leading entries; a restart starts from zero
-        # moments again, with the same memory.
-        state = nk.OptimizerState(0.1, size=5)
-        m, v = state.m, state.v
-        fresh = nk.OptimizerState(0.1)
-        got, want = _tape_holding(np.ones(3)), _tape_holding(np.ones(3))
+        # The first step sizes the moments by the tape's capacity; the tape
+        # uses the leading entries, and a restart starts from zero moments
+        # again, with the same memory, as does a shorter tape after it.
+        state = nk.OptimizerState(0.1)
+        got = nk.ParamTape([("p", (3,))], capacity=5)
+        got.param("p")[...] = 1.0
+        want = _tape_holding(np.ones(3))
+        moments = None
         for _ in range(2):
+            fresh = nk.OptimizerState(0.1)
             for tape, s in ((got, state), (want, fresh)):
                 _set_quadratic_grad(tape)
                 nk.optimizer_step(tape, s)
+            moments = moments or (state.m, state.v)
+            assert state.m.size == state.v.size == 5
             assert np.array_equal(got.flat_params, want.flat_params)
             assert np.array_equal(state.m[:3], fresh.m)
             assert np.array_equal(state.v[:3], fresh.v)
             state.restart(0.1)
-            fresh = nk.OptimizerState(0.1)
             assert state.step == 0
-        assert state.m is m and state.v is v
+        shorter = _tape_holding(np.ones(2))
+        _set_quadratic_grad(shorter)
+        nk.optimizer_step(shorter, state)
+        assert state.m is moments[0] and state.v is moments[1]
 
     def test_a_longer_tape_gets_new_moments(self):
-        state = nk.OptimizerState(0.1, size=2)
-        tape = _tape_holding(np.ones(3))
-        _set_quadratic_grad(tape)
-        nk.optimizer_step(tape, state)
-        assert state.m.size == state.v.size == 3
+        state = nk.OptimizerState(0.1)
+        for size in (2, 3):
+            tape = _tape_holding(np.ones(size))
+            _set_quadratic_grad(tape)
+            nk.optimizer_step(tape, state)
+            assert state.m.size == state.v.size == size
+            assert np.isfinite(tape.flat_params).all()
+
+    def test_state_takes_no_moment_size(self):
+        # The moments are sized by the first tape they serve.
+        with pytest.raises(TypeError):
+            nk.OptimizerState(0.1, size=5)
+        assert nk.OptimizerState(0.1).m is None
 
     def test_restart_checks_the_learning_rate(self):
         state = nk.OptimizerState(0.1)

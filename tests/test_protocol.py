@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clare import numkit as nk
 from clare import protocol
@@ -36,6 +38,7 @@ from clare.protocol import (
     train_model,
 )
 from clare.replay import generate_replay
+from conftest import step_on
 
 # Small enough to train in well under a second per increment.
 FAST = ExperimentConfig(
@@ -300,19 +303,21 @@ class TestStepWorkspace:
         forward_backward(model, ws)
         nk.optimizer_step(model.tape, state)
 
+    @pytest.mark.parametrize("class_no", [10, 1])
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
-    def test_steady_state_digit_step_allocates_under_half_a_mib(self, dtype):
-        # 784-512-256-64 at batch 128: every activation, gradient and loss
-        # buffer lives in the workspace or the tape; what is left is the
-        # latent-width kernels' results, and for pixel bytes the gathered
-        # batch before it is scaled (100 KB).
-        model = ClareModel(class_no=10, rng=np.random.default_rng(0))
+    def test_steady_state_digit_step_allocates_under_half_a_mib(self, dtype, class_no):
+        # 784-512-256-64 at batch 128 on a 10-class workspace: every
+        # activation, gradient and loss buffer lives in the workspace (a
+        # model with fewer classes on its leading class columns) or the tape;
+        # what is left is the latent-width kernels' results, and for pixel
+        # bytes the gathered batch before it is scaled (100 KB).
+        model = ClareModel(class_no=class_no, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
         images = rng.uniform(size=(256, 784))
         if dtype == np.uint8:
             images = np.round(images * 255.0).astype(np.uint8)
-        labels = rng.integers(0, 10, size=256)
-        ws = StepWorkspace(model.dims, 128)
+        labels = rng.integers(0, class_no, size=256)
+        ws = StepWorkspace((10,) + model.dims[1:], 128)
         state = nk.OptimizerState(1e-3)
         self._step(model, ws, state, images, labels, np.arange(128), rng)
         buffers = dict(vars(ws))
@@ -394,11 +399,25 @@ class TestStepWorkspace:
             seen.append((ws.n, views))
             return forward_backward(model, ws, beta)
 
+        moments = []
+        optimizer_step = nk.optimizer_step
+
+        def spy_optimizer(tape, state):
+            optimizer_step(tape, state)
+            moments.append((state.m, state.v))
+
         monkeypatch.setattr(protocol, "StepWorkspace", Recording)
         monkeypatch.setattr(protocol, "forward_backward", spy)
+        monkeypatch.setattr(nk, "optimizer_step", spy_optimizer)
         got, got_models = run()
 
         assert [ws.n for ws in made] == [16]
+        # One pair of Adam moments, of the final tape's size, serves every
+        # step of both increments.
+        assert len(moments) == len(seen)
+        m, v = moments[0]
+        assert m.size == v.size == param_count(made[0].dims)
+        assert all(a is m and b is v for a, b in moments)
         assert [n for n, _ in seen] == ([16] * 7 + [8]) * 2 + ([16] * 11 + [4]) * 2
         assert all(views for _, views in seen)
         assert got == want
@@ -407,6 +426,42 @@ class TestStepWorkspace:
         assert len(got_models) == len(want_models) == 2
         for (_, got_params), (_, want_params) in zip(got_models, want_models):
             assert np.array_equal(got_params, want_params)
+
+    @pytest.mark.parametrize("replay, rows", [(True, 300), (False, 100)])
+    def test_the_run_workspace_has_the_largest_increments_rows(self, replay, rows, monkeypatch):
+        # One row each of classes 0 and 1, then 100 of class 2: with replay,
+        # the last increment trains on 100 new and 2 x 100 replayed rows,
+        # more than the 102 rows of the training split.
+        rng = np.random.default_rng(17)
+        labels = np.array([0, 1] + [2] * 100)
+        train = LabeledDataset(rng.uniform(size=(102, 4)), labels)
+        made = []
+
+        class Recording(StepWorkspace):
+            def __init__(self, dims, batch):
+                super().__init__(dims, batch)
+                made.append(batch)
+
+        monkeypatch.setattr(protocol, "StepWorkspace", Recording)
+        config = replace(FAST, epochs=1, batch_size=20000, replay=replay)
+        run_experiment(train, train, build_schedule([0, 1, 2], g=1), config, seed=3)
+        assert made == [rows]
+
+    @pytest.mark.parametrize("split", ["training", "test"])
+    def test_a_scheduled_class_missing_from_a_split_is_rejected_first(
+        self, data, split, monkeypatch
+    ):
+        train, test = data
+        if split == "training":
+            train = subset_by_classes(train, [0, 1])
+        else:
+            test = subset_by_classes(test, [0, 1])
+        calls = []
+        monkeypatch.setattr(protocol, "train_model", lambda *args, **kw: calls.append(args))
+        missing = rf"^scheduled classes \[2\] are not in the {split} split$"
+        with pytest.raises(ValueError, match=missing):
+            run_experiment(train, test, build_schedule([0, 1, 2], g=1), FAST, seed=3)
+        assert calls == []
 
     @pytest.mark.parametrize("n_images, n_labels", [(10, 5), (5, 10)])
     def test_length_mismatch_rejected_before_drawing(self, n_images, n_labels):
@@ -444,36 +499,39 @@ class TestTrainingBuffers:
         return TrainingBuffers(dims, FAST.batch_size, FAST.lr)
 
     def test_a_reused_state_matches_fresh_ones(self):
-        # The second tape is one class larger: both fit the moments, which
-        # restart from zero instead of carrying the first call's values.
+        # The second model has one class fewer than the buffers: it steps on
+        # the workspace's leading class columns and the moments' leading
+        # entries, which restart from zero instead of carrying the first
+        # call's values.
         buffers = self._buffers(3)
-        ws, m, v = buffers.workspace, buffers.optimizer.m, buffers.optimizer.v
-        for class_no in (2, 3):
+        ws = buffers.workspace
+        moments = None
+        for class_no in (3, 2):
             got_trace, got = self._train(class_no, buffers)
+            moments = moments or (buffers.optimizer.m, buffers.optimizer.v)
             want_trace, want = self._train(class_no, None)
             assert got_trace == want_trace
             assert np.array_equal(got, want), class_no
         assert buffers.workspace is ws
-        assert buffers.optimizer.m is m and buffers.optimizer.v is v
+        assert buffers.optimizer.m is moments[0] and buffers.optimizer.v is moments[1]
 
-    def test_a_tape_larger_than_the_moments_gets_new_ones(self):
-        buffers = self._buffers(2)
-        self._train(2, buffers)
-        small = buffers.optimizer.m
-        got_trace, got = self._train(3, buffers)
-        want_trace, want = self._train(3, None)
-        assert buffers.optimizer.m is not small
-        assert buffers.optimizer.m.size == buffers.optimizer.v.size == got.size > small.size
-        assert got_trace == want_trace
-        assert np.array_equal(got, want)
-
-    def test_a_batch_larger_than_the_workspace_gets_a_new_one(self):
-        buffers = TrainingBuffers((3, 2, 4, (12, 10), (10, 12)), 8, FAST.lr)
-        got_trace, got = self._train(3, buffers)
-        want_trace, want = self._train(3, None)
-        assert buffers.workspace.n == FAST.batch_size
-        assert got_trace == want_trace
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("batch, class_no, d_z", [(8, 3, 2), (16, 2, 2), (16, 3, 3)])
+    def test_a_workspace_that_cannot_train_the_call_is_rejected_before_drawing(
+        self, batch, class_no, d_z
+    ):
+        # Too few rows for a 16-row batch, too few classes for the model, or
+        # another network: the call draws nothing and trains nothing.
+        buffers = TrainingBuffers((class_no, d_z, 4, (12, 10), (10, 12)), batch, FAST.lr)
+        model = ClareModel(class_no=3, **self.ARCH, rng=np.random.default_rng(3))
+        before = model.tape.flat_params.copy()
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="no 16-row batch|workspace shapes"):
+            train_model(model, np.zeros((40, 4)), np.zeros(40, dtype=np.int64), FAST, rng,
+                        buffers=buffers)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(model.tape.flat_params, before)
+        assert buffers.optimizer.m is None
 
     def test_a_leading_view_rejects_other_row_counts(self):
         ws = self._buffers(3).workspace
@@ -482,10 +540,30 @@ class TestTrainingBuffers:
             with pytest.raises(ValueError, match=f"no {k}-row batch"):
                 ws.leading(k)
 
-    def test_fit_rejects_another_network(self):
+    @pytest.mark.parametrize("class_no, d_z", [(4, 2), (3, 3)])
+    def test_forward_backward_rejects_another_network_or_more_classes(self, class_no, d_z):
         ws = self._buffers(3).workspace
+        model = ClareModel(class_no=class_no, **{**self.ARCH, "d_z": d_z})
         with pytest.raises(ValueError, match="workspace shapes"):
-            ws.fit(ClareModel(class_no=3, **{**self.ARCH, "d_z": 3}))
+            forward_backward(model, ws)
+
+    @pytest.mark.parametrize("class_no", [1, 2, 3])
+    def test_a_wider_workspace_steps_as_a_fresh_one(self, class_no):
+        # A 3-class workspace holding stale values in its class columns gives
+        # the losses and gradients of a workspace built for the model.
+        rng = np.random.default_rng(40 + class_no)
+        model = ClareModel(class_no=class_no, **self.ARCH, rng=rng)
+        x, noise = rng.uniform(size=(16, 4)), rng.standard_normal((16, 2))
+        labels = rng.integers(0, class_no, size=16)
+        want = step_on(model, x, labels, noise)
+        want_grads = model.tape.flat_grads.copy()
+        ws = self._buffers(3).workspace
+        ws.one_hot.fill(np.nan)
+        ws.logits.fill(np.nan)
+        ws.x[...], ws.labels[...], ws.noise[...] = x, labels, noise
+        assert forward_backward(model, ws) == want
+        assert np.array_equal(model.tape.flat_grads, want_grads)
+
 
 class TestDeterminism:
     def test_same_seed_reproduces_every_metric(self, data):
@@ -581,6 +659,53 @@ class TestRunExperiment:
         assert records[0].classes_seen == [0, 1]
         assert records[1].classes_seen == [0, 1, 2]
         assert set(records[1].per_class) == {0, 1, 2}
+
+
+@st.composite
+def small_runs(draw):
+    """A toy corpus, schedule and config: sparse original labels, uneven and
+    one-row classes, any ``g``, batches of 1-40 rows, both start modes,
+    replay on and off, and float or byte pixels."""
+    labels = sorted(draw(st.sets(st.integers(0, 250), min_size=1, max_size=4)))
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(labels), max_size=len(labels)))
+    g = draw(st.integers(1, len(labels)))
+    config = replace(
+        FAST,
+        epochs=draw(st.integers(1, 2)),
+        batch_size=draw(st.integers(1, 40)),
+        start=draw(st.sampled_from(["scratch", "warm"])),
+        replay=draw(st.booleans()),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def split(per_class):
+        images = rng.uniform(size=(sum(per_class), 4))
+        if draw(st.booleans()):
+            images = np.round(images * 255.0).astype(np.uint8)
+        rows = rng.permutation(len(images))
+        return LabeledDataset(images[rows], np.repeat(labels, per_class)[rows])
+
+    train, test = split(counts), split([2] * len(labels))
+    return train, test, build_schedule(labels, g), config
+
+
+class TestScheduleProperty:
+    @settings(deadline=None)
+    @given(run=small_runs(), seed=st.integers(0, 2**16))
+    def test_a_run_equals_its_increments_on_fresh_buffers(self, run, seed):
+        # The run's one set of training buffers against fresh buffers for
+        # every train_model call (run_increment without ``buffers``).
+        train, test, schedule, config = run
+        records = run_experiment(train, test, schedule, config, seed)
+        assert len(records) == len(schedule.groups)
+        assert all(np.isfinite(v).all() for r in records for v in r.trace.values())
+        state = IncrementState()
+        for phase, group in enumerate(schedule.groups):
+            state = run_increment(state, subset_by_classes(train, group), test, config,
+                                  _phase_seed(seed, phase))
+        assert [replace(r, seconds=0.0) for r in records] == [
+            replace(r, seconds=0.0) for r in state.history
+        ]
 
 
 def _byte_twins(dataset: LabeledDataset) -> tuple[LabeledDataset, LabeledDataset]:

@@ -23,14 +23,13 @@ from .model import (
 from .protocol import (
     IncrementState,
     MetricsRecord,
-    Schedule,
     build_schedule,
     run_experiment,
     run_finetune_baseline,
     run_increment,
     run_joint_baseline,
 )
-from .replay import ReplayBuffer, balance_counts, generate_replay
+from .replay import balance_counts, generate_replay
 from .report import ResultsReport, read_report, write_report
 
 __all__ = [
@@ -39,9 +38,7 @@ __all__ = [
     "IncrementState",
     "LabeledDataset",
     "MetricsRecord",
-    "ReplayBuffer",
     "ResultsReport",
-    "Schedule",
     "average_over_tasks",
     "balance_counts",
     "build_schedule",

@@ -165,3 +165,16 @@ def parse_field(name: str, raw: str):
             else "an integer"
         )
         raise ValueError(f"config key {name!r} needs {kind}, got {raw!r}") from None
+
+
+def read_text(path: str, error: type[ValueError]) -> str:
+    """The text of file ``path`` as UTF-8, as config files and reports are
+    read; other bytes raise ``error`` naming the file and byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        ) from None

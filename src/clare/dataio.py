@@ -19,16 +19,13 @@ import gzip
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-IDX_TYPE_UBYTE = 0x08
-
-_IDX_TYPE_SIZES = {
-    0x08: 1,  # unsigned byte; the only payload MNIST uses
-}
+IDX_TYPE_UBYTE = 0x08  # unsigned byte: the one IDX type MNIST uses and this module reads
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -42,19 +39,13 @@ class IdxFormatError(ValueError):
     """The bytes do not form a valid IDX file; the message says where."""
 
 
-@dataclass(frozen=True)
-class IdxHeader:
-    type_code: int
-    dims: tuple[int, ...]
-
-
 @dataclass
 class LabeledDataset:
     """Flattened images, one row each, with aligned int64 labels.
 
     ``images`` is either uint8, as ``load_mnist`` returns it, holding pixel
-    bytes whose values are ``byte / 255.0`` (see ``scale_pixels``), or
-    float64 holding the values themselves, as the toy blobs do.
+    bytes whose values are ``byte / 255.0`` (see ``scale_pixels``), or float64
+    holding the values themselves, as toy blobs and replay do. ``len()`` is ``n``.
     """
 
     images: np.ndarray
@@ -68,6 +59,9 @@ class LabeledDataset:
                 f"labels shape {self.labels.shape} does not align with "
                 f"{self.images.shape[0]} images"
             )
+
+    def __len__(self) -> int:
+        return self.n
 
     @property
     def n(self) -> int:
@@ -92,15 +86,16 @@ class LabeledDataset:
         return {cls: int(rows.size) for cls, rows in self.class_index.items()}
 
 
-def parse_idx(data: bytes) -> tuple[IdxHeader, np.ndarray]:
-    """Decode one IDX payload (gzipped or raw) into header plus array.
+def parse_idx(data: bytes) -> np.ndarray:
+    """Decode one IDX file's bytes (gzipped or raw) into its array.
 
-    The array is a read-only view of the payload's bytes, not a copy.
+    The shape is the header's dims and the dtype uint8, the one type read
+    here; the array is a read-only view of the payload's bytes, not a copy.
     """
     if data[:2] == b"\x1f\x8b":
         try:
             data = gzip.decompress(data)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:
             raise IdxFormatError(f"gzip stream is corrupt: {exc}") from exc
     if len(data) < 4:
         raise IdxFormatError(f"file is {len(data)} bytes, too short for a magic number")
@@ -109,7 +104,7 @@ def parse_idx(data: bytes) -> tuple[IdxHeader, np.ndarray]:
             f"bad magic bytes {data[0]:#04x} {data[1]:#04x} at offset 0, expected 00 00"
         )
     type_code = data[2]
-    if type_code not in _IDX_TYPE_SIZES:
+    if type_code != IDX_TYPE_UBYTE:
         raise IdxFormatError(f"unsupported type code {type_code:#04x} at offset 2")
     rank = data[3]
     header_end = 4 + 4 * rank
@@ -119,17 +114,19 @@ def parse_idx(data: bytes) -> tuple[IdxHeader, np.ndarray]:
             f"(need {header_end})"
         )
     dims = struct.unpack(f">{rank}I", data[4:header_end])
-    count = 1
-    for d in dims:
-        count *= d
-    expected = header_end + count * _IDX_TYPE_SIZES[type_code]
-    if len(data) != expected:
+    count = math.prod(dims)
+    expected = header_end + count
+    if len(data) < expected:
         raise IdxFormatError(
             f"payload truncated at offset {len(data)}: dims {dims} require "
             f"{expected} bytes"
         )
+    if len(data) > expected:
+        raise IdxFormatError(
+            f"trailing bytes: payload ends at offset {expected}, file has {len(data)}"
+        )
     array = np.frombuffer(data, dtype=np.uint8, count=count, offset=header_end)
-    return IdxHeader(type_code=type_code, dims=dims), array.reshape(dims)
+    return array.reshape(dims)
 
 
 def write_idx(array: np.ndarray) -> bytes:
@@ -144,11 +141,15 @@ def write_idx(array: np.ndarray) -> bytes:
     return header + array.tobytes()
 
 
-def _read_idx_file(path: str) -> tuple[IdxHeader, np.ndarray]:
+def _read_idx_file(path: str) -> np.ndarray:
+    """``parse_idx`` of ``path``, else of ``path + ".gz"``; errors name the file."""
     for candidate in (path, path + ".gz"):
         if os.path.exists(candidate):
             with open(candidate, "rb") as fh:
-                return parse_idx(fh.read())
+                try:
+                    return parse_idx(fh.read())
+                except IdxFormatError as exc:
+                    raise IdxFormatError(f"{candidate}: {exc}") from exc
     raise FileNotFoundError(f"no such file: {path} (also tried {path}.gz)")
 
 
@@ -171,10 +172,10 @@ def load_mnist(data_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
     Images keep the files' uint8 pixel bytes, as a read-only view of each
     file's one read; nothing is copied or converted to float.
     """
-    _, train_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_images"]))
-    _, train_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_labels"]))
-    _, test_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_images"]))
-    _, test_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_labels"]))
+    train_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_images"]))
+    train_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_labels"]))
+    test_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_images"]))
+    test_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_labels"]))
     return _to_dataset(train_x, train_y, "train"), _to_dataset(test_x, test_y, "test")
 
 

@@ -13,6 +13,7 @@ configuration error (including a missing data directory).
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -26,6 +27,7 @@ from .config import (
     ExperimentConfig,
     config_from_items,
     parse_seeds,
+    read_text,
 )
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, write_idx
 from .protocol import (
@@ -89,30 +91,32 @@ def read_config_file(path: str) -> dict[str, str]:
 
     Each value is checked here, with the other fields at their defaults, so
     an unknown key or a bad value is rejected naming the file and line; a
-    key given twice is rejected with both lines. Values come back as text.
+    key given twice is rejected with both lines; bytes that are not UTF-8
+    are rejected naming the file and byte offset. Values come back as text.
     """
-    items: dict[str, str] = {}
-    lines: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
-                key, value = (part.strip() for part in stripped.split("=", 1))
-                if key in lines:
-                    raise UsageError(
-                        f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
-                    )
-                try:
-                    config_from_items({key: value})
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{n}: {exc}") from None
-                items[key], lines[key] = value, n
+        text = read_text(path, UsageError)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    items: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    # newline=None reads lines as a text-mode file does.
+    for n, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in lines:
+            raise UsageError(
+                f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
+            )
+        try:
+            config_from_items({key: value})
+        except ValueError as exc:
+            raise UsageError(f"{path}:{n}: {exc}") from None
+        items[key], lines[key] = value, n
     return items
 
 

@@ -56,8 +56,13 @@ _CLASSIFY_ROWS = 256
 _DECODE_ROWS = 1024
 
 
-def one_hot(labels: np.ndarray, class_no: int) -> np.ndarray:
-    """Encode integer labels as one-hot rows of width ``class_no``."""
+def one_hot(labels: np.ndarray, class_no: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Encode integer labels as one-hot rows of width ``class_no``.
+
+    The rows go into ``out`` when given (shape ``(len(labels), class_no)``,
+    a view is fine), else into a new array. A label outside ``[0, class_no)``
+    raises ``ValueError`` before anything is written.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
@@ -66,7 +71,10 @@ def one_hot(labels: np.ndarray, class_no: int) -> np.ndarray:
             f"class index out of range: have {class_no} classes, "
             f"got labels {int(labels.min())}..{int(labels.max())}"
         )
-    out = np.zeros((labels.shape[0], class_no))
+    if out is None:
+        out = np.zeros((labels.shape[0], class_no))
+    else:
+        out.fill(0.0)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
 
@@ -304,7 +312,7 @@ class StepWorkspace:
     buffer is allocated here and reused by each ``forward_backward`` call,
     so a steady-state step allocates only the small arrays the latent-width
     kernels return. Fill ``x``, ``labels`` and ``noise`` (``gather`` does the
-    first two), then run the step.
+    first two), then run the step, which writes ``one_hot`` from ``labels``.
 
     Rows ``[:n]`` of the stacked encoder buffers hold the zero-condition
     (classification) pass, rows ``[n:]`` the one-hot (VAE) pass. The forward
@@ -321,7 +329,6 @@ class StepWorkspace:
         n = batch
         self.dims = dims
         self.n = n
-        self.rows = np.arange(n)
         self.x = np.empty((n, d))
         self.labels = np.empty(n, dtype=np.int64)
         self.noise = np.empty((n, d_z))
@@ -406,22 +413,17 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     fed a reparameterized draw with ``ws.noise``). Every tape gradient is
     assigned, and the tape is marked populated for ``optimizer_step``.
     Returns the three component values and their total. Raises
+    ``ValueError`` for a label outside the model's classes (``one_hot``) and
     ``NonFiniteError`` if the total is not finite.
     """
     ws.check(model)
     n, d, d_z = ws.n, model.input_dim, model.d_z
     labels = ws.labels
-    if labels.min() < 0 or labels.max() >= model.class_no:
-        raise ValueError(
-            f"class index out of range: have {model.class_no} classes, "
-            f"got labels {int(labels.min())}..{int(labels.max())}"
-        )
     p, g = model.tape.param, model.tape.grad
     x = ws.x
     # A workspace built for more classes lends its leading class columns.
-    codes, logits = ws.one_hot[:, : model.class_no], ws.logits[:, : model.class_no]
-    codes.fill(0.0)
-    codes[ws.rows, labels] = 1.0
+    codes = one_hot(labels, model.class_no, out=ws.one_hot[:, : model.class_no])
+    logits = ws.logits[:, : model.class_no]
 
     # Encoder layer 1: x @ Wx.T once for both passes. The one-hot condition
     # adds column W1[:, d + label], picked out by a (n, class_no) product.

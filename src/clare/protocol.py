@@ -28,17 +28,11 @@ from .replay import balance_counts, generate_replay
 TRACE_KEYS = ("total", "classification", "reconstruction", "kl")
 
 
-@dataclass
-class Schedule:
-    """Ordered groups of original class labels."""
-
-    groups: list[list[int]]
-
-
-def build_schedule(class_ids: list[int], g: int) -> Schedule:
+def build_schedule(class_ids: list[int], g: int) -> list[list[int]]:
     """Split ``class_ids`` (ascending) into consecutive groups of size ``g``.
 
-    The last group may be smaller when the counts do not divide evenly.
+    Returns the groups of original class labels, in arrival order. The last
+    group may be smaller when the counts do not divide evenly.
     """
     if g < 1:
         raise ValueError(f"g must be >= 1, got {g}")
@@ -47,8 +41,7 @@ def build_schedule(class_ids: list[int], g: int) -> Schedule:
         raise ValueError("schedule needs at least one class")
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate class ids in schedule")
-    groups = [ids[i : i + g] for i in range(0, len(ids), g)]
-    return Schedule(groups=groups)
+    return [ids[i : i + g] for i in range(0, len(ids), g)]
 
 
 @dataclass
@@ -74,6 +67,12 @@ class IncrementState:
     learned: list[int] = field(default_factory=list)
     model: ClareModel | None = None
     history: list[MetricsRecord] = field(default_factory=list)
+
+
+def _replay_counts(learned: int, new_counts: dict, config: ExperimentConfig) -> dict[int, int]:
+    """Rows to replay per learned dense class: with replay on, each at the
+    size of the new classes' data (``balance_counts``); otherwise none."""
+    return balance_counts(range(learned), new_counts) if config.replay and learned else {}
 
 
 def _phase_seed(master_seed: int, phase: int) -> int:
@@ -184,8 +183,8 @@ def run_increment(
     """One increment: replay, merge, retrain, evaluate.
 
     ``seed`` is this phase's derived seed. Replay decodes from the input
-    state's model. ``on_replay`` (when given) sees the generated buffer
-    before training, for inspection dumps, with the original class labels;
+    state's model. ``on_replay`` (when given) sees the replay, a
+    ``LabeledDataset``, before training, for inspection dumps, with original labels;
     training uses the dense ids. Returns a new state. Once replay is made,
     the model is taken out of the input state (its ``model`` becomes
     ``None``) in either start mode, so the old parameters are freed before
@@ -226,12 +225,9 @@ def run_increment(
 
     started = time.perf_counter()
 
-    if state.learned and config.replay:
-        new_counts = {
-            dense_of[orig]: int(rows.size)
-            for orig, rows in new_group_data.class_index.items()
-        }
-        counts = balance_counts(list(range(len(state.learned))), new_counts)
+    new_counts = {dense_of[c]: k for c, k in new_group_data.per_class_counts().items()}
+    counts = _replay_counts(len(state.learned), new_counts, config)
+    if counts:
         # One training array: replay decodes into its head, the new images
         # are scaled into its tail (a plain assignment would cast pixel
         # bytes without scaling them).
@@ -294,7 +290,7 @@ def run_increment(
 def run_experiment(
     train_data: LabeledDataset,
     test_data: LabeledDataset,
-    schedule: Schedule,
+    schedule: list[list[int]],
     config: ExperimentConfig,
     seed: int,
     on_replay=None,
@@ -308,24 +304,22 @@ def run_experiment(
     """
     config = config.resolved()
     counts = train_data.per_class_counts()
-    scheduled = {c for group in schedule.groups for c in group}
+    scheduled = {c for group in schedule for c in group}
     for split, present in (("training", counts), ("test", test_data.class_index)):
         missing = sorted(scheduled - set(present))
         if missing:
             raise ValueError(f"scheduled classes {missing} are not in the {split} split")
-    # An increment trains on its new rows and, as in ``run_increment``,
-    # replays every learned class when replay is on.
     rows, learned = 0, 0
-    for group in schedule.groups:
+    for group in schedule:
         new = {c: counts[c] for c in group}
-        replayed = balance_counts(list(range(learned)), new) if config.replay and learned else {}
+        replayed = _replay_counts(learned, new, config)
         rows = max(rows, sum(new.values()) + sum(replayed.values()))
         learned += len(group)
     dims = (learned, config.d_z, train_data.dim,
             tuple(config.enc_hidden), tuple(config.dec_hidden))
     buffers = TrainingBuffers(dims, min(config.batch_size, rows), config.lr)
     state = IncrementState()
-    for phase, group in enumerate(schedule.groups):
+    for phase, group in enumerate(schedule):
         group_data = subset_by_classes(train_data, group)
         state = run_increment(
             state, group_data, test_data, config, _phase_seed(seed, phase), on_replay,
@@ -349,7 +343,7 @@ def run_joint_baseline(
 def run_finetune_baseline(
     train_data: LabeledDataset,
     test_data: LabeledDataset,
-    schedule: Schedule,
+    schedule: list[list[int]],
     config: ExperimentConfig,
     seed: int,
 ) -> list[MetricsRecord]:

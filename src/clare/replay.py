@@ -15,23 +15,12 @@ array, so replay is never copied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
+from .dataio import LabeledDataset
 from .model import ClareModel, one_hot
-
-
-@dataclass
-class ReplayBuffer:
-    """Synthetic images with their class labels."""
-
-    images: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
 
 
 def take_snapshot(model: ClareModel, increment: int) -> ClareModel:
@@ -40,7 +29,7 @@ def take_snapshot(model: ClareModel, increment: int) -> ClareModel:
 
 
 def balance_counts(
-    learned_classes: list[int], new_counts: Mapping[int, int]
+    learned_classes: Iterable[int], new_counts: Mapping[int, int]
 ) -> dict[int, int]:
     """Per-old-class replay counts: the median of the new-class counts.
 
@@ -62,8 +51,8 @@ def generate_replay(
     per_class_counts: Mapping[int, int],
     seed: int,
     out: np.ndarray | None = None,
-) -> ReplayBuffer:
-    """Decode prior draws into a labeled buffer of synthetic images.
+) -> LabeledDataset:
+    """Decode prior draws into a ``LabeledDataset`` of synthetic images.
 
     Each class consumes its own generator stream keyed on ``(seed, class)``,
     so the samples produced for a class do not depend on which other classes
@@ -72,7 +61,7 @@ def generate_replay(
     when given, is checked before anything is decoded; each class's draws
     are then decoded by ``model.decode`` into its rows of the one result
     array, which is ``out`` (float64, ``(sum of counts, input_dim)``) or a
-    new array.
+    new array. Its ``len()`` is the number of rows requested.
     """
     classes = sorted(per_class_counts)
     for cls in classes:
@@ -97,4 +86,4 @@ def generate_replay(
         c = one_hot(np.full(count, cls), model.class_no)
         model.decode(z, c, out=images[row : row + count])
         row += count
-    return ReplayBuffer(images=images, labels=labels)
+    return LabeledDataset(images=images, labels=labels)

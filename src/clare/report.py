@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_from_items, parse_seeds
+from .config import ExperimentConfig, config_from_items, parse_seeds, read_text
 from .metrics import average_over_tasks
 from .protocol import TRACE_KEYS, MetricsRecord
 
@@ -254,8 +254,7 @@ def parse_report(text: str) -> ResultsReport:
 
 
 def read_report(path: str) -> ResultsReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_report(fh.read())
+    return parse_report(read_text(path, ReportFormatError))
 
 
 def render_csv(report: ResultsReport) -> str:

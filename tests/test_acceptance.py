@@ -197,10 +197,10 @@ def test_a06_idx_decoding_matches_the_format_definition():
          0x00, 0x00, 0x00, 0x02,
          0xAA, 0xBB, 0xCC, 0xDD]
     )
-    header, array = parse_idx(blob)
+    array = parse_idx(blob)
     ok = (
-        header.type_code == 0x08
-        and header.dims == (1, 2, 2)
+        array.dtype == np.uint8
+        and array.shape == (1, 2, 2)
         and array.tolist() == [[[0xAA, 0xBB], [0xCC, 0xDD]]]
     )
     _verdict(label, ok, "rank-3 ubyte tensor decodes byte-for-byte")

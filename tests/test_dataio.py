@@ -37,29 +37,39 @@ HAND_IDX = bytes(
 
 class TestParseIdx:
     def test_hand_encoded_tensor(self):
-        header, array = parse_idx(HAND_IDX)
-        assert header.type_code == 0x08
-        assert header.dims == (1, 2, 2)
+        array = parse_idx(HAND_IDX)
         assert array.dtype == np.uint8
+        assert array.shape == (1, 2, 2)
         assert_allclose(array, [[[0xAA, 0xBB], [0xCC, 0xDD]]])
 
     def test_rank_one_empty(self):
-        header, array = parse_idx(bytes([0, 0, 0x08, 0x01, 0, 0, 0, 0]))
-        assert header.dims == (0,)
+        array = parse_idx(bytes([0, 0, 0x08, 0x01, 0, 0, 0, 0]))
         assert array.shape == (0,)
 
     def test_write_then_parse_is_identity(self):
         rng = np.random.default_rng(0)
         for shape in [(7,), (3, 4), (2, 5, 6)]:
             original = rng.integers(0, 256, size=shape, dtype=np.uint8)
-            header, back = parse_idx(write_idx(original))
-            assert header.dims == shape
+            back = parse_idx(write_idx(original))
+            assert back.shape == shape
             assert np.array_equal(back, original)
 
     def test_gzip_transparency(self):
-        header, array = parse_idx(gzip.compress(HAND_IDX))
-        assert header.dims == (1, 2, 2)
+        array = parse_idx(gzip.compress(HAND_IDX))
+        assert array.shape == (1, 2, 2)
         assert array[0, 1, 1] == 0xDD
+
+    def test_truncated_gzip_rejected(self):
+        with pytest.raises(IdxFormatError, match="gzip stream is corrupt: .*end-of-stream"):
+            parse_idx(gzip.compress(HAND_IDX)[:-10])
+
+    def test_corrupt_deflate_stream_rejected(self):
+        # The deflate stream starts at byte 10; setting bits 1-2 of its first
+        # byte makes the block type 3, which deflate reserves.
+        mangled = bytearray(gzip.compress(HAND_IDX))
+        mangled[10] |= 0b110
+        with pytest.raises(IdxFormatError, match="gzip stream is corrupt: .*invalid block type"):
+            parse_idx(bytes(mangled))
 
     def test_corrupt_gzip_rejected(self):
         mangled = gzip.compress(HAND_IDX)[:-4] + b"\x00\x00\x00\x00"
@@ -77,6 +87,12 @@ class TestParseIdx:
     def test_truncated_payload_names_required_size(self):
         with pytest.raises(IdxFormatError, match="require 20 bytes"):
             parse_idx(HAND_IDX[:-1])
+
+    def test_trailing_bytes_are_not_called_truncation(self):
+        dims_2x3 = bytes([0, 0, 0x08, 0x02, 0, 0, 0, 2, 0, 0, 0, 3])
+        with pytest.raises(IdxFormatError) as err:
+            parse_idx(dims_2x3 + bytes(8))
+        assert str(err.value) == "trailing bytes: payload ends at offset 18, file has 20"
 
     def test_truncated_header_rejected(self):
         with pytest.raises(IdxFormatError, match="dimensions"):
@@ -106,6 +122,9 @@ class TestLabeledDataset:
             LabeledDataset(images=np.zeros((3, 2)), labels=np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError, match="2-d"):
             LabeledDataset(images=np.zeros(3), labels=np.zeros(3, dtype=np.int64))
+
+    def test_len_is_the_row_count(self):
+        assert len(self._dataset()) == self._dataset().n == 6
 
     def test_counts_and_classes(self):
         ds = self._dataset()
@@ -229,6 +248,24 @@ class TestLoadMnist:
     def test_missing_files_reported_with_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="train-images-idx3-ubyte"):
             load_mnist(str(tmp_path))
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_a_malformed_file_is_named(self, tmp_path, gz):
+        rng = np.random.default_rng(9)
+        for name in MNIST_FILES.values():
+            shape = (6, 2, 2) if "images" in name else (6,)
+            (tmp_path / name).write_bytes(write_idx(rng.integers(0, 4, shape, dtype=np.uint8)))
+        bad = tmp_path / MNIST_FILES["test_images"]
+        blob = bad.read_bytes()
+        if gz:
+            bad.unlink()
+            bad = bad.with_name(bad.name + ".gz")
+            blob = gzip.compress(blob)
+        bad.write_bytes(blob[:-3])
+        with pytest.raises(IdxFormatError) as err:
+            load_mnist(str(tmp_path))
+        want = "gzip stream is corrupt" if gz else "payload truncated at offset 37"
+        assert str(err.value).startswith(f"{bad}: {want}"), str(err.value)
 
     def test_round_trip_through_files(self, tmp_path):
         rng = np.random.default_rng(4)

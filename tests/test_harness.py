@@ -17,14 +17,13 @@ from numpy.testing import assert_allclose
 
 import clare
 from clare.config import CONFIG_KEYS, ExperimentConfig, config_from_items
-from clare.dataio import load_mnist, parse_idx, write_idx
+from clare.dataio import LabeledDataset, load_mnist, parse_idx, write_idx
 from clare.harness import UsageError, build_parser, merge_config, read_config_file, run_cli
 from clare import harness
 from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
 from clare.protocol import MetricsRecord
-from clare.replay import ReplayBuffer
 from clare.report import (
     ReportFormatError,
     ResultsReport,
@@ -225,6 +224,14 @@ class TestReportRoundTrip:
         assert record.per_class == {0: 99.0, 1: 98.0, 2: 97.0}
         assert record.trace["kl"] == [0.2, 0.15]
         assert back.config == report.config
+
+    def test_report_that_is_not_utf8_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "report.txt"
+        text = render_report(_tiny_report()).encode()
+        path.write_bytes(text[:40] + b"\xff" + text[40:])
+        with pytest.raises(ReportFormatError) as err:
+            read_report(str(path))
+        assert str(err.value) == f"{path}: not UTF-8: byte 0xff at offset 40 (invalid start byte)"
 
     def test_header_is_mandatory(self):
         with pytest.raises(ReportFormatError, match="header"):
@@ -500,6 +507,24 @@ class TestCli:
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}:3: {message}")
 
+    def test_config_file_that_is_not_utf8_names_file_and_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"dataset = toy\nepo\xffchs = 2\n")
+        with pytest.raises(UsageError) as err:
+            read_config_file(str(cfg))
+        assert str(err.value) == f"{cfg}: not UTF-8: byte 0xff at offset 17 (invalid start byte)"
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
+    def test_a_truncated_digit_file_is_named(self, tmp_path, capsys):
+        corpus = _digit_corpus(tmp_path)
+        bad = corpus / "t10k-images-idx3-ubyte"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        assert run_cli(["--dataset", "mnist", "--data-dir", str(corpus), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: payload truncated at offset 135: dims (30, 2, 2) require 136 bytes\n"
+        )
+
     def test_duplicate_config_key_names_both_lines(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("epochs = 3\nseed = 1\n\nepochs = 4\n")
@@ -529,12 +554,12 @@ class TestCli:
             "replay-s7-01-images-idx", "replay-s7-01-labels-idx",
             "replay-s7-02-images-idx", "replay-s7-02-labels-idx",
         ]
-        header, images = parse_idx((dump / "replay-s7-01-images-idx").read_bytes())
-        assert header.dims == (60, 2, 2)  # dim 4 comes back as 2x2 squares
-        _, labels = parse_idx((dump / "replay-s7-01-labels-idx").read_bytes())
+        images = parse_idx((dump / "replay-s7-01-images-idx").read_bytes())
+        assert images.shape == (60, 2, 2)  # dim 4 comes back as 2x2 squares
+        labels = parse_idx((dump / "replay-s7-01-labels-idx").read_bytes())
         assert labels.shape == (60,)
         assert set(labels.tolist()) == {0}
-        _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
+        labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
         assert sorted(set(labels2.tolist())) == [0, 1]
 
     def test_dump_replay_writes_original_labels(self, tmp_path, capsys):
@@ -545,9 +570,9 @@ class TestCli:
                         "--dump-replay", str(dump)])
         assert code == 0
         capsys.readouterr()
-        _, labels = parse_idx((dump / "replay-s7-01-labels-idx").read_bytes())
+        labels = parse_idx((dump / "replay-s7-01-labels-idx").read_bytes())
         assert set(labels.tolist()) == {3}
-        _, labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
+        labels2 = parse_idx((dump / "replay-s7-02-labels-idx").read_bytes())
         assert set(labels2.tolist()) == {3, 5}
 
     def test_dumped_pixels_round_as_the_two_temporary_expression_did(self, tmp_path):
@@ -556,9 +581,9 @@ class TestCli:
         edges = (np.arange(255) + 0.5) / 255.0
         values = np.concatenate([[0.0, 1.0, -0.25, 1.25], edges,
                                  np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
-        buffer = ReplayBuffer(values.reshape(-1, 1), np.zeros(values.size, dtype=np.int64))
+        buffer = LabeledDataset(values.reshape(-1, 1), np.zeros(values.size, dtype=np.int64))
         harness._replay_dumper(str(tmp_path), 1, 3)(4, buffer)
-        _, pixels = parse_idx((tmp_path / "replay-s3-04-images-idx").read_bytes())
+        pixels = parse_idx((tmp_path / "replay-s3-04-images-idx").read_bytes())
         want = np.clip(np.round(values * 255.0), 0, 255).astype(np.uint8)
         assert np.array_equal(pixels.reshape(-1), want)
         # The buffer is the head of the training array: it is not scaled.

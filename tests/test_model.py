@@ -48,6 +48,21 @@ class TestOneHot:
         with pytest.raises(ValueError):
             one_hot(np.array([-1]), 3)
 
+    def test_into_the_leading_columns_of_a_wider_buffer(self):
+        labels = np.array([2, 0, 1, 2, 2])
+        wide = np.full((5, 7), np.nan)
+        got = one_hot(labels, 3, out=wide[:, :3])
+        assert np.shares_memory(got, wide)
+        assert np.array_equal(wide[:, :3], one_hot(labels, 3))
+        assert np.isnan(wide[:, 3:]).all()
+
+    @pytest.mark.parametrize("labels", [[0, 3, 1], [-1, 0, 2]])
+    def test_an_out_of_range_label_raises_before_out_is_written(self, labels):
+        out = np.full((3, 3), np.nan)
+        with pytest.raises(ValueError, match="class index out of range"):
+            one_hot(np.array(labels), 3, out=out)
+        assert np.isnan(out).all()
+
 
 class TestConstruction:
     def test_parameter_shapes(self):

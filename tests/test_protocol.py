@@ -67,17 +67,22 @@ def data():
 class TestBuildSchedule:
     def test_even_split(self):
         s = build_schedule(list(range(10)), g=5)
-        assert s.groups == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        assert s == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+    def test_returns_a_plain_list_of_lists(self):
+        s = build_schedule([3, 1, 2], g=2)
+        assert type(s) is list
+        assert all(type(group) is list for group in s)
 
     def test_single_group(self):
-        assert build_schedule(list(range(10)), g=10).groups == [list(range(10))]
+        assert build_schedule(list(range(10)), g=10) == [list(range(10))]
 
     def test_remainder_group_allowed(self):
         s = build_schedule(list(range(10)), g=3)
-        assert s.groups == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        assert s == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
 
     def test_orders_ascending(self):
-        assert build_schedule([4, 0, 2], g=2).groups == [[0, 2], [4]]
+        assert build_schedule([4, 0, 2], g=2) == [[0, 2], [4]]
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -697,10 +702,10 @@ class TestScheduleProperty:
         # every train_model call (run_increment without ``buffers``).
         train, test, schedule, config = run
         records = run_experiment(train, test, schedule, config, seed)
-        assert len(records) == len(schedule.groups)
+        assert len(records) == len(schedule)
         assert all(np.isfinite(v).all() for r in records for v in r.trace.values())
         state = IncrementState()
-        for phase, group in enumerate(schedule.groups):
+        for phase, group in enumerate(schedule):
             state = run_increment(state, subset_by_classes(train, group), test, config,
                                   _phase_seed(seed, phase))
         assert [replace(r, seconds=0.0) for r in records] == [

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clare import model as model_mod
+from clare.dataio import LabeledDataset
 from clare.model import ClareModel, load_model, one_hot, save_model
 from clare.replay import balance_counts, generate_replay, take_snapshot
 from oracles import sigmoid_oracle
@@ -87,6 +88,11 @@ class TestGenerateReplay:
         assert Counter(buf.labels.tolist()) == counts
         # Classes come out sorted, so slices are contiguous.
         assert (np.diff(buf.labels) >= 0).all()
+
+    def test_returns_a_labeled_dataset_of_the_requested_rows(self):
+        buf = generate_replay(small_model(6), {1: 4, 2: 9}, seed=3)
+        assert type(buf) is LabeledDataset
+        assert len(buf) == buf.n == 13
 
     def test_deterministic_per_seed(self):
         m = small_model(7)

@@ -7,6 +7,7 @@ parsed config round-trips exactly.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -75,6 +76,10 @@ class ExperimentConfig:
             raise ValueError(f"toy_spread must be finite and >= 0, got {self.toy_spread}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("data_dir", "out_path"):  # free text, on one report line each
+            text = getattr(self, name)
+            if "\n" in text or "\r" in text:
+                raise ValueError(f"{name} must not hold a line break, got {text!r}")
 
     def resolved(self) -> "ExperimentConfig":
         """Checked copy with dataset defaults and ``$CLARE_DATA_DIR`` filled in.
@@ -139,10 +144,9 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def parse_field(name: str, raw: str):
-    """Parse one config value; a ``ValueError`` names the key and the value."""
+    """Parse one config value as given; a ``ValueError`` names the key and the value."""
     if name not in CONFIG_KEYS:
         raise ValueError(f"unknown config key {name!r}")
-    raw = raw.strip()
     if name in ("dataset", "start", "data_dir", "out_path"):
         return raw
     if name == "replay":
@@ -167,14 +171,40 @@ def parse_field(name: str, raw: str):
         raise ValueError(f"config key {name!r} needs {kind}, got {raw!r}") from None
 
 
+def read_items(text: str, error: type[ValueError], where: str = ""):
+    """``(items, lines)`` of ``key = value`` text: each key's value and line.
+
+    The one reader of config files and reports. Lines split as a text-mode
+    file splits them, blank and ``#`` lines are skipped, and each other line
+    splits at its first ``=`` into a stripped key and value. A line with no
+    ``=`` or a repeated key raises ``error`` prefixed ``{where}{line}: ``.
+    """
+    items: dict[str, str] = {}
+    lines: dict[str, int] = {}
+    for n, line in enumerate(io.StringIO(text, newline=None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise error(f"{where}{n}: expected 'key = value', got {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in lines:
+            raise error(f"{where}{n}: duplicate key {key!r} (first set on line {lines[key]})")
+        items[key], lines[key] = value, n
+    return items, lines
+
+
 def read_text(path: str, error: type[ValueError]) -> str:
     """The text of file ``path`` as UTF-8, as config files and reports are
-    read; other bytes raise ``error`` naming the file and byte offset."""
+    read; a leading byte-order mark is dropped, and other bytes that are not
+    UTF-8 raise ``error`` naming the file and byte offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.object is the data after any byte-order mark.
+        offset = exc.start + len(data) - len(exc.object)
         raise error(
-            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+            f"{path}: not UTF-8: byte {data[offset]:#04x} at offset {offset} ({exc.reason})"
         ) from None

@@ -72,18 +72,16 @@ class LabeledDataset:
         return self.images.shape[1]
 
     @cached_property
-    def class_index(self) -> dict[int, np.ndarray]:
-        """Row indices per class, ascending class order."""
-        return {
-            int(cls): np.flatnonzero(self.labels == cls)
-            for cls in np.unique(self.labels)
-        }
+    def _class_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.labels, return_counts=True)
 
     def classes(self) -> list[int]:
-        return sorted(self.class_index)
+        """The labels present, ascending."""
+        return self._class_counts[0].tolist()
 
     def per_class_counts(self) -> dict[int, int]:
-        return {cls: int(rows.size) for cls, rows in self.class_index.items()}
+        """Rows per class, ascending class order; a new dict on each call."""
+        return dict(zip(*(part.tolist() for part in self._class_counts)))
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -205,7 +203,7 @@ def scale_pixels(images: np.ndarray, out: np.ndarray) -> np.ndarray:
 def subset_by_classes(dataset: LabeledDataset, class_ids: list[int]) -> LabeledDataset:
     """Rows whose label is in ``class_ids``, original order preserved."""
     wanted = set(int(c) for c in class_ids)
-    missing = wanted - set(dataset.class_index)
+    missing = wanted - set(dataset.classes())
     if missing:
         raise ValueError(f"classes {sorted(missing)} not present in dataset")
     mask = np.isin(dataset.labels, sorted(wanted))

@@ -13,7 +13,6 @@ configuration error (including a missing data directory).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
@@ -27,6 +26,7 @@ from .config import (
     ExperimentConfig,
     config_from_items,
     parse_seeds,
+    read_items,
     read_text,
 )
 from .dataio import LabeledDataset, load_mnist, make_toy_dataset, write_idx
@@ -87,36 +87,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Read ``key = value`` lines; blanks and ``#`` comments are skipped.
+    """Read a config file by ``config.read_items``' rules; values stay text.
 
-    Each value is checked here, with the other fields at their defaults, so
-    an unknown key or a bad value is rejected naming the file and line; a
-    key given twice is rejected with both lines; bytes that are not UTF-8
-    are rejected naming the file and byte offset. Values come back as text.
+    Once the whole file is read, each value is checked with the other fields
+    at their defaults, so an unknown key or a bad value is rejected naming
+    the file and line, as are a malformed line and a repeated key (with both
+    lines); bytes that are not UTF-8 are rejected naming the byte offset.
     """
     try:
         text = read_text(path, UsageError)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    items: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    # newline=None reads lines as a text-mode file does.
-    for n, line in enumerate(io.StringIO(text, newline=None), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{n}: expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key in lines:
-            raise UsageError(
-                f"{path}:{n}: duplicate key {key!r} (first set on line {lines[key]})"
-            )
+    items, lines = read_items(text, UsageError, f"{path}:")
+    for key, value in items.items():
         try:
             config_from_items({key: value})
         except ValueError as exc:
-            raise UsageError(f"{path}:{n}: {exc}") from None
-        items[key], lines[key] = value, n
+            raise UsageError(f"{path}:{lines[key]}: {exc}") from None
     return items
 
 
@@ -243,7 +230,10 @@ def run_cli(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         if args.mode != "clare" and args.dump_replay:
             raise UsageError("--dump-replay only applies to --mode clare")
-        config = config.resolved()
+        try:
+            config = config.resolved()
+        except ValueError as exc:  # merge_config checked all but $CLARE_DATA_DIR
+            raise UsageError(f"${ENV_DATA_DIR}: {exc}") from None
         started = time.perf_counter()
         runs = []
         # Only the toy blobs depend on the seed: the digit corpus is loaded once.

@@ -16,8 +16,9 @@ def evaluate(
 
     Predictions take the argmax of the class probabilities from one
     ``classify`` call over every image (the model runs it in chunks); on a
-    tie the lowest class index wins (numpy's argmax convention). ``labels``
-    must use the model's dense class ids.
+    tie the lowest class index wins (numpy's argmax convention). A
+    non-finite class score raises ``NonFiniteError`` (``classify``).
+    ``labels`` must use the model's dense class ids.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:

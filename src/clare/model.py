@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 
 import numpy as np
@@ -117,12 +118,12 @@ def param_count(dims: tuple) -> int:
 class ClareModel:
     """The joint network: encoder trunk, latent heads, classifier, decoder.
 
-    Defaults follow the reference sizing for 28x28 images (784-16, trunk
-    512-256); every dimension is configurable so miniature instances stay
-    cheap to probe. All parameters live on a single ``ParamTape`` in a fixed
-    order, which is also the checkpoint order and the layout of its flat
-    buffers. ``capacity`` goes to the tape: a run gives every model its
-    largest model's parameter count (``param_count``).
+    Defaults follow the reference sizing for 28x28 images (784-512-256-64);
+    every dimension is configurable so miniature instances stay cheap to
+    probe. All parameters live on a single ``ParamTape`` in a fixed order,
+    which is also the checkpoint order and the layout of its flat buffers.
+    ``capacity`` goes to the tape: a run gives every model its largest
+    model's parameter count (``param_count``).
     """
 
     def __init__(
@@ -231,8 +232,15 @@ class ClareModel:
         return out
 
     def classify(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities; rows sum to 1 and stay strictly positive."""
-        return kernels.softmax_rows(self.class_logits(x))
+        """Class probabilities; rows sum to 1 and stay strictly positive.
+
+        A non-finite logit raises ``NonFiniteError`` naming its row.
+        """
+        logits = self.class_logits(x)
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise nk.NonFiniteError(f"non-finite class score in row {bad[0]} of {len(logits)}")
+        return kernels.softmax_rows(logits)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -512,15 +520,7 @@ def expand_classes(
         raise ValueError(
             f"can only grow the class count: have {model.class_no}, got {new_class_no}"
         )
-    grown = ClareModel(
-        class_no=new_class_no,
-        d_z=model.d_z,
-        input_dim=model.input_dim,
-        enc_hidden=model.enc_hidden,
-        dec_hidden=model.dec_hidden,
-        rng=rng,
-        capacity=model.tape.capacity,
-    )
+    grown = ClareModel(new_class_no, *model.dims[1:], rng=rng, capacity=model.tape.capacity)
     for name in model.tape.names():
         old = model.tape.param(name)
         grown.tape.param(name)[tuple(slice(0, k) for k in old.shape)] = old
@@ -534,12 +534,21 @@ def expand_classes(
 
 def save_model(model: ClareModel, path: str) -> None:
     """Write ``_HEADER`` and then the tape's flat parameters as little-endian
-    float64; the round trip is bit-exact."""
+    float64; the round trip is bit-exact. The file is written as
+    ``path + ".tmp"`` and then renamed over ``path`` (``os.replace``), so a
+    failed save leaves any previous checkpoint there whole and no temporary."""
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.class_no, model.d_z,
                           model.input_dim, *model.enc_hidden, *model.dec_hidden)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(model.tape.flat_params.astype("<f8", copy=False).data)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(model.tape.flat_params.astype("<f8", copy=False).data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path: str) -> ClareModel:
@@ -549,7 +558,8 @@ def load_model(path: str) -> ClareModel:
     anything is allocated. A bad magic, a short file or extra bytes raise
     ``ValueError`` naming the offset (and, for a short payload, the tensor
     it ends in), and any version but ``CHECKPOINT_VERSION`` one naming that
-    version; dimensions ``ClareModel`` rejects raise its ``ValueError``.
+    version; dimensions ``ClareModel`` rejects raise its ``ValueError``, and
+    a non-finite parameter one naming its tensor.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -580,4 +590,8 @@ def load_model(path: str) -> ClareModel:
         )
     model = ClareModel(*dims, rng=None)
     model.tape.flat_params[...] = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    try:
+        model.tape.check_finite(model.tape.flat_params, "parameter")
+    except nk.NonFiniteError as exc:
+        raise ValueError(f"bad checkpoint: {exc}") from None
     return model

@@ -3,10 +3,9 @@
 ``ParamTape`` holds every named parameter and its gradient as views into
 two flat buffers. ``linear_backward`` writes a layer's weight and bias
 gradients for the hand-written training step in ``model`` straight into the
-tape's views.
-Activations are called from ``kernels`` directly. There is no recorded
-graph; ``optimizer_step`` consumes the gradients the step assigned, in one
-pass over the flat buffers.
+tape's views. Activations are called from ``kernels`` directly.
+``optimizer_step`` consumes the gradients the step assigned, in one pass
+over the flat buffers.
 """
 
 from __future__ import annotations

@@ -75,6 +75,11 @@ def _replay_counts(learned: int, new_counts: dict, config: ExperimentConfig) -> 
     return balance_counts(range(learned), new_counts) if config.replay and learned else {}
 
 
+def _dims(config: ExperimentConfig, class_no: int, input_dim: int) -> tuple:
+    """The ``ClareModel.dims`` of a resolved config's network."""
+    return (class_no, config.d_z, input_dim, tuple(config.enc_hidden), tuple(config.dec_hidden))
+
+
 def _phase_seed(master_seed: int, phase: int) -> int:
     """Stable per-phase seed; adding later phases never shifts earlier ones."""
     return int(np.random.SeedSequence([master_seed, phase]).generate_state(1)[0])
@@ -198,7 +203,7 @@ def run_increment(
     if new_group_data.n == 0:
         raise ValueError("increment received an empty data group")
     config = config.resolved()
-    new_originals = sorted(new_group_data.class_index)
+    new_originals = new_group_data.classes()
     overlap = set(new_originals) & set(state.learned)
     if overlap:
         raise ValueError(f"classes {sorted(overlap)} were already learned")
@@ -249,15 +254,8 @@ def run_increment(
         # Replay was the old model's last use: free it before the new
         # parameters are allocated, so two models never share the heap.
         previous = None
-        model = ClareModel(
-            class_no=len(learned),
-            d_z=config.d_z,
-            input_dim=new_group_data.dim,
-            enc_hidden=config.enc_hidden,
-            dec_hidden=config.dec_hidden,
-            rng=init_rng,
-            capacity=0 if buffers is None else buffers.capacity,
-        )
+        model = ClareModel(*_dims(config, len(learned), new_group_data.dim), rng=init_rng,
+                           capacity=0 if buffers is None else buffers.capacity)
     del previous
 
     try:
@@ -305,7 +303,7 @@ def run_experiment(
     config = config.resolved()
     counts = train_data.per_class_counts()
     scheduled = {c for group in schedule for c in group}
-    for split, present in (("training", counts), ("test", test_data.class_index)):
+    for split, present in (("training", counts), ("test", test_data.classes())):
         missing = sorted(scheduled - set(present))
         if missing:
             raise ValueError(f"scheduled classes {missing} are not in the {split} split")
@@ -315,9 +313,9 @@ def run_experiment(
         replayed = _replay_counts(learned, new, config)
         rows = max(rows, sum(new.values()) + sum(replayed.values()))
         learned += len(group)
-    dims = (learned, config.d_z, train_data.dim,
-            tuple(config.enc_hidden), tuple(config.dec_hidden))
-    buffers = TrainingBuffers(dims, min(config.batch_size, rows), config.lr)
+    buffers = TrainingBuffers(
+        _dims(config, learned, train_data.dim), min(config.batch_size, rows), config.lr
+    )
     state = IncrementState()
     for phase, group in enumerate(schedule):
         group_data = subset_by_classes(train_data, group)

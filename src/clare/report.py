@@ -9,13 +9,14 @@ recomputes and cross-checks on load.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_from_items, parse_seeds, read_text
+from .config import ExperimentConfig, config_from_items, parse_seeds, read_items, read_text
 from .metrics import average_over_tasks
 from .protocol import TRACE_KEYS, MetricsRecord
 
@@ -147,24 +148,15 @@ def _per_class(text: str, classes: list[int]) -> dict[int, float]:
 def parse_report(text: str) -> ResultsReport:
     """Parse and validate report text; summaries are recomputed and checked.
 
-    A value that does not convert raises ``ReportFormatError`` naming its key.
+    After the header line, lines are read by ``config.read_items``' rules. A
+    value that does not convert raises ``ReportFormatError`` naming its key.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        head = lines[0].strip() if lines else "<empty>"
+    head = io.StringIO(text, newline=None).readline().strip()
+    if head != FORMAT_HEADER:
         raise ReportFormatError(
-            f"unsupported report header {head!r}, expected {FORMAT_HEADER!r}"
+            f"unsupported report header {head or '<empty>'!r}, expected {FORMAT_HEADER!r}"
         )
-    kv: dict[str, str] = {}
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if " = " not in line:
-            raise ReportFormatError(f"line {n} is not 'key = value': {line!r}")
-        key, value = line.split(" = ", 1)
-        if key in kv:
-            raise ReportFormatError(f"duplicate key {key!r} on line {n}")
-        kv[key] = value
+    kv, _ = read_items(text, ReportFormatError, "line ")
 
     def take(key: str, convert=str):
         if key not in kv:

@@ -133,6 +133,14 @@ class TestLabeledDataset:
         assert ds.classes() == [0, 1, 2]
         assert ds.per_class_counts() == {0: 3, 1: 2, 2: 1}
 
+    def test_per_class_counts_is_a_fresh_dict_each_call(self):
+        ds = self._dataset()
+        counts = ds.per_class_counts()
+        counts[0] = 99
+        counts[7] = 1
+        assert ds.classes() == [0, 1, 2]
+        assert ds.per_class_counts() == {0: 3, 1: 2, 2: 1}
+
     def test_subset_preserves_row_order(self):
         ds = self._dataset()
         sub = subset_by_classes(ds, [0, 2])

@@ -23,6 +23,7 @@ from clare import harness
 from clare import model as model_mod
 from clare.metrics import average_over_tasks, evaluate
 from clare.model import ClareModel
+from clare.numkit import NonFiniteError
 from clare.protocol import MetricsRecord
 from clare.report import (
     ReportFormatError,
@@ -33,6 +34,7 @@ from clare.report import (
     read_report,
     render_csv,
     render_report,
+    write_report,
 )
 from oracles import accuracy_oracle
 
@@ -102,6 +104,13 @@ class TestEvaluate:
         model = ClareModel(class_no=2, rng=None, **MINI)
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, np.zeros((0, 6)), np.zeros(0, dtype=np.int64))
+
+    def test_a_non_finite_class_score_raises_instead_of_predicting_class_0(self):
+        model = ClareModel(class_no=3, rng=np.random.default_rng(7), **MINI)
+        model.tape.param("cls_b")[1] = np.nan
+        images = np.random.default_rng(8).uniform(size=(30, 6))
+        with pytest.raises(NonFiniteError, match="non-finite class score in row 0 of 30"):
+            evaluate(model, images, np.repeat(np.arange(3), 10))
 
 
 class TestAverageOverTasks:
@@ -389,6 +398,97 @@ def test_a_one_character_change_to_a_config_file_reads_or_names_its_line(
         read_config_file(str(path))
     except UsageError as err:
         assert re.match(rf"{re.escape(str(path))}:\d+: ", str(err)), str(err)
+
+
+# Characters str.splitlines splits at but a text-mode file does not.
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestKeyValueText:
+    """Config files and reports are read by one reader, config.read_items."""
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=[f"{ord(c):#x}" for c in NOT_LINE_BREAKS])
+    def test_a_report_reads_back_a_data_dir_holding_a_character_splitlines_splits_at(
+        self, tmp_path, char
+    ):
+        config = replace(TWO_SEED_REPORT.config, data_dir=f"corpus{char}dir")
+        path = str(tmp_path / "report.txt")
+        write_report(replace(TWO_SEED_REPORT, config=config), path)
+        assert read_report(path).config == config
+
+    @pytest.mark.parametrize("key", ["data_dir", "out_path"])
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_a_line_break_in_a_free_text_key_fails_validation(self, key, brk):
+        with pytest.raises(ValueError, match=f"^{key} must not hold a line break"):
+            replace(ExperimentConfig(), **{key: f"a{brk}b"}).validate()
+
+    @pytest.mark.parametrize("flag, key", [("--data-dir", "data_dir"), ("--out", "out_path")])
+    def test_the_cli_refuses_a_line_break_in_a_free_text_key(self, tmp_path, capsys, flag, key):
+        assert run_cli(TOY_ARGS + [flag, str(tmp_path / "a\nb")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must not hold a line break")
+
+    def test_a_line_break_in_the_data_dir_variable_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CLARE_DATA_DIR", "a\nb")
+        assert run_cli(["--dataset", "mnist", "--epochs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: $CLARE_DATA_DIR: data_dir must not hold a line break"
+        )
+
+    def test_a_flag_keeps_a_paths_outer_whitespace(self):
+        args = build_parser().parse_args(["--data-dir", "digits\x0c", "--out", " r.txt"])
+        config = merge_config(args)
+        assert (config.data_dir, config.out_path) == ("digits\x0c", " r.txt")
+
+    @pytest.mark.parametrize("bom, newline", [(b"\xef\xbb\xbf", "\n"), (b"", "\r\n"),
+                                              (b"\xef\xbb\xbf", "\r\n")])
+    def test_a_byte_order_mark_and_crlf_line_ends_read_as_plain_lf_text(
+        self, tmp_path, bom, newline
+    ):
+        cfg, rep = tmp_path / "run.cfg", tmp_path / "report.txt"
+        cfg.write_bytes(bom + CONFIG_FILE_TEXT.replace("\n", newline).encode())
+        rep.write_bytes(bom + TWO_SEED_TEXT.replace("\n", newline).encode())
+        assert read_config_file(str(cfg)) == dict(TWO_SEED_REPORT.config.to_items())
+        assert read_report(str(rep)) == parse_report(TWO_SEED_TEXT)
+
+    def test_a_byte_after_a_byte_order_mark_is_named_at_its_file_offset(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfseed = 1\n\xff\n")
+        with pytest.raises(UsageError) as err:
+            read_config_file(str(cfg))
+        assert str(err.value) == f"{cfg}: not UTF-8: byte 0xff at offset 12 (invalid start byte)"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("garbage", "expected 'key = value', got 'garbage\\n'"),
+            ("mode = joint", "duplicate key 'mode' (first set on line 2)"),
+        ],
+    )
+    def test_a_bad_report_line_gets_the_config_file_wording(self, line, message):
+        lines = TWO_SEED_TEXT.count("\n")
+        with pytest.raises(ReportFormatError) as err:
+            parse_report(TWO_SEED_TEXT + line + "\n")
+        assert str(err.value) == f"line {lines + 1}: {message}"
+
+    def test_a_config_file_is_read_in_full_before_its_values_are_checked(self, tmp_path):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("epochs = many\nseed = 1\nseed = 2\n")
+        with pytest.raises(UsageError, match=r":3: duplicate key 'seed' \(first set on line 2\)"):
+            read_config_file(str(cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_dir=st.text(max_size=12), out_path=st.text(max_size=12))
+def test_free_text_that_validates_round_trips_through_a_report(data_dir, out_path):
+    config = replace(TWO_SEED_REPORT.config, data_dir=data_dir, out_path=out_path)
+    try:
+        config.validate()
+    except ValueError:
+        assert any(brk in data_dir + out_path for brk in "\n\r")
+        return
+    back = parse_report(render_report(replace(TWO_SEED_REPORT, config=config))).config
+    # Every key = value reader strips a value's outer whitespace.
+    assert back == replace(config, data_dir=data_dir.strip(), out_path=out_path.strip())
 
 
 def _digit_corpus(tmp_path: Path) -> Path:

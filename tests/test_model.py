@@ -4,6 +4,7 @@ and checkpoints."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 import tracemalloc
 
@@ -592,6 +593,45 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, peak
+
+    def test_a_non_finite_parameter_is_rejected_naming_its_tensor(self, tmp_path):
+        m = ClareModel(rng=np.random.default_rng(31), **dict(MINI, class_no=3))
+        m.tape.param("cls_b")[1] = np.nan
+        path = str(tmp_path / "nan.clre")
+        save_model(m, path)
+        with pytest.raises(ValueError, match="non-finite value in parameter 'cls_b'"):
+            load_model(path)
+
+    def test_a_failed_save_leaves_the_previous_checkpoint_whole(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.clre")
+        old = mini_model(32)
+        save_model(old, path)
+        builtin_open = open
+
+        class FullDisk:
+            """A file whose second write, the payload, fails."""
+
+            def __init__(self, *args):
+                self.fh, self.writes = builtin_open(*args), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(model_mod, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_model(mini_model(33), path)
+        monkeypatch.undo()
+        assert np.array_equal(load_model(path).tape.flat_params, old.tape.flat_params)
+        assert os.listdir(tmp_path) == ["model.clre"]
 
     @pytest.mark.parametrize(
         "class_no, d_z, message",

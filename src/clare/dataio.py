@@ -9,12 +9,16 @@ float64: byte ``b`` reads as ``b / 255.0``, so a value lies in [0, 1]. The
 training step, the classifier and an increment's training array call it
 on the rows they read, so the corpus itself is never held as floats.
 
+``replacing`` is the one way the package writes a file (a checkpoint, a
+report, its CSV): into ``path + ".tmp"``, renamed over ``path`` when done.
+
 The toy generator drops Gaussian blobs on corners of ``[0.2, 0.8]^dim`` so
 miniature end-to-end runs have a dataset that trains in seconds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import os
@@ -137,6 +141,25 @@ def write_idx(array: np.ndarray) -> bytes:
     header = bytes([0, 0, IDX_TYPE_UBYTE, array.ndim])
     header += struct.pack(f">{array.ndim}I", *array.shape)
     return header + array.tobytes()
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str, **kwargs):
+    """Open ``path + ".tmp"`` for writing; on success rename it over ``path``.
+
+    ``mode`` and ``kwargs`` go to ``open``. The rename (``os.replace``)
+    comes after the file is closed, so a write that fails part way leaves
+    whatever was at ``path`` whole, and the temporary is removed.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_idx_file(path: str) -> np.ndarray:

@@ -72,14 +72,20 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    # One exp(logits - max): the loss's log-sum-exp sums it before the
+    # _TINY floor, then the floored rows are normalised in place, as
+    # ``softmax_rows`` computes them, and become the gradient.
     n = logits.shape[0]
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    grad = softmax_rows(logits)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return loss, grad
+    rows = np.arange(n)
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(np.subtract(logits, m))
+    lse = m[:, 0] + np.log(np.add.reduce(e, axis=1))
+    loss = float(np.add.reduce(lse - logits[rows, labels]) / n)
+    np.maximum(e, _TINY, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    e[rows, labels] -= 1.0
+    e /= n
+    return loss, e
 
 
 def bce_logits(
@@ -108,7 +114,7 @@ def bce_logits(
     out -= np.multiply(logits, targets, out=tmp)
     np.exp(np.copysign(logits, -1.0, out=e), out=e)
     out += np.log1p(e, out=tmp)
-    loss = float(out.sum() / n)
+    loss = float(np.add.reduce(out, axis=None) / n)
     if not held:
         np.exp(np.copysign(logits, -1.0, out=e), out=e)
     # Unclamped sigmoid, max(e, l >= 0) / (1 + e): the exact derivative, with
@@ -125,20 +131,56 @@ def bce_logits(
 def kl_terms(mu: np.ndarray, log_var: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     n = mu.shape[0]
     # expm1 keeps exp(lv) - 1 - lv exact near zero; with plain exp() the
-    # difference cancels to -lv and the divergence dips below zero.
+    # difference cancels to -lv and the divergence dips below zero. The
+    # terms (mu*mu + em1) - lv are summed in one buffer, which then takes
+    # mu's gradient; em1's buffer takes log_var's.
     em1 = np.expm1(log_var)
-    kl = float(0.5 * np.sum(mu * mu + em1 - log_var) / n)
-    dmu = mu / n
-    dlv = 0.5 * em1 / n
-    return kl, dmu, dlv
+    terms = np.multiply(mu, mu)
+    terms += em1
+    terms -= log_var
+    kl = float(0.5 * np.add.reduce(terms, axis=None) / n)
+    dmu = np.divide(mu, n, out=terms)
+    em1 *= 0.5
+    em1 /= n
+    return kl, dmu, em1
 
 
-def reparam_fwd(mu: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    return mu + np.exp(0.5 * log_var) * noise
+def reparam_std(log_var: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The draw's standard deviation ``exp(0.5 * log_var)``, into ``out`` when given."""
+    out = np.multiply(log_var, 0.5, out=out)
+    return np.exp(out, out=out)
 
 
-def reparam_dlv(g: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    return 0.5 * np.exp(0.5 * log_var) * noise * g
+def reparam_fwd(
+    mu: np.ndarray,
+    log_var: np.ndarray,
+    noise: np.ndarray,
+    std: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    # mu + std * noise, into ``out`` when given. ``std`` is
+    # ``reparam_std(log_var)``, computed here unless the caller holds it.
+    if std is None:
+        std = reparam_std(log_var)
+    out = np.multiply(std, noise, out=out)
+    out += mu
+    return out
+
+
+def reparam_dlv(
+    g: np.ndarray,
+    log_var: np.ndarray,
+    noise: np.ndarray,
+    std: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    # ((0.5 * std) * noise) * g, with ``std`` and ``out`` as in ``reparam_fwd``.
+    if std is None:
+        std = reparam_std(log_var)
+    out = np.multiply(std, 0.5, out=out)
+    out *= noise
+    out *= g
+    return out
 
 
 def all_finite(x: np.ndarray, row: np.ndarray) -> bool:

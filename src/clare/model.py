@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import struct
 
 import numpy as np
 
 from . import kernels
 from . import numkit as nk
-from .dataio import as_pixels, scale_pixels
+from .dataio import as_pixels, replacing, scale_pixels
 from .numkit import ParamTape
 
 LOG_VAR_MIN = -10.0
@@ -67,11 +66,13 @@ def one_hot(labels: np.ndarray, class_no: int, out: np.ndarray | None = None) ->
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_no):
-        raise ValueError(
-            f"class index out of range: have {class_no} classes, "
-            f"got labels {int(labels.min())}..{int(labels.max())}"
-        )
+    if labels.size:
+        low, high = np.minimum.reduce(labels), np.maximum.reduce(labels)
+        if low < 0 or high >= class_no:
+            raise ValueError(
+                f"class index out of range: have {class_no} classes, "
+                f"got labels {int(low)}..{int(high)}"
+            )
     if out is None:
         out = np.zeros((labels.shape[0], class_no))
     else:
@@ -318,8 +319,8 @@ class StepWorkspace:
 
     Built for an architecture (``ClareModel.dims``) and a batch size; every
     buffer is allocated here and reused by each ``forward_backward`` call,
-    so a steady-state step allocates only the small arrays the latent-width
-    kernels return. Fill ``x``, ``labels`` and ``noise`` (``gather`` does the
+    so a steady-state step allocates only the small arrays the cross-entropy
+    and KL kernels return. Fill ``x``, ``labels`` and ``noise`` (``gather`` does the
     first two), then run the step, which writes ``one_hot`` from ``labels``.
 
     Rows ``[:n]`` of the stacked encoder buffers hold the zero-condition
@@ -347,6 +348,9 @@ class StepWorkspace:
         self.mu = np.empty((2 * n, d_z))
         self.lv_raw = np.empty((n, d_z))
         self.lv = np.empty((n, d_z))
+        # the reparameterized draw: its standard deviation and the latent
+        self.std = np.empty((n, d_z))
+        self.z = np.empty((n, d_z))
         self.logits = np.empty((n, c))
         # decoder, and the reconstruction loss's gradient and scratch
         self.cond_d = np.empty((n, g1))
@@ -369,6 +373,7 @@ class StepWorkspace:
         self.dh2_lv = np.empty((n, h2))
         self.dmu = np.empty((2 * n, d_z))
         self.dz = np.empty((n, d_z))
+        self.dlv = np.empty((n, d_z))
         self.dd1 = np.empty((n, g1))
         self.dd2 = np.empty((n, g2))
 
@@ -446,7 +451,8 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     # Log-variance head: VAE pass only; the classifier reads the mean.
     np.matmul(h2_vae, p("enc_wlv").T, out=ws.lv_raw)
     ws.lv_raw += p("enc_blv")
-    np.clip(ws.lv_raw, LOG_VAR_MIN, LOG_VAR_MAX, out=ws.lv)
+    np.maximum(ws.lv_raw, LOG_VAR_MIN, out=ws.lv)
+    np.minimum(ws.lv, LOG_VAR_MAX, out=ws.lv)
     np.greater(ws.lv_raw, LOG_VAR_MIN, out=ws.inside)
     np.less(ws.lv_raw, LOG_VAR_MAX, out=ws.below)
     ws.inside &= ws.below
@@ -454,7 +460,8 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     classifier_logits(p, mu0, logits)
     ce, dlogits = kernels.softmax_xent(logits, labels)
 
-    z = kernels.reparam_fwd(mu, ws.lv, ws.noise)
+    std = kernels.reparam_std(ws.lv, out=ws.std)
+    z = kernels.reparam_fwd(mu, ws.lv, ws.noise, std=std, out=ws.z)
     decoder_logits(p, d_z, z, codes, ws.cond_d, ws.d1, ws.d2, ws.out)
     rec, dout = kernels.bce_logits(ws.out, x, ws.dout, ws.bce_e, ws.bce_tmp)
     kl, dmu_kl, dlv_kl = kernels.kl_terms(mu, ws.lv)
@@ -475,7 +482,7 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     dmu0, dmu = ws.dmu[:n], ws.dmu[n:]
     np.multiply(dmu_kl, beta, out=dmu)
     dmu += ws.dz
-    dlv = kernels.reparam_dlv(ws.dz, ws.lv, ws.noise)
+    dlv = kernels.reparam_dlv(ws.dz, ws.lv, ws.noise, std=std, out=ws.dlv)
     dlv_kl *= beta
     dlv += dlv_kl
     dlv *= ws.inside
@@ -534,21 +541,14 @@ def expand_classes(
 
 def save_model(model: ClareModel, path: str) -> None:
     """Write ``_HEADER`` and then the tape's flat parameters as little-endian
-    float64; the round trip is bit-exact. The file is written as
-    ``path + ".tmp"`` and then renamed over ``path`` (``os.replace``), so a
-    failed save leaves any previous checkpoint there whole and no temporary."""
+    float64; the round trip is bit-exact. The file is replaced atomically
+    (``dataio.replacing``), so a failed save leaves any previous checkpoint
+    there whole and no temporary."""
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.class_no, model.d_z,
                           model.input_dim, *model.enc_hidden, *model.dec_hidden)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(model.tape.flat_params.astype("<f8", copy=False).data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(header)
+        fh.write(model.tape.flat_params.astype("<f8", copy=False).data)
 
 
 def load_model(path: str) -> ClareModel:

@@ -109,7 +109,7 @@ def linear_backward(g, x, w, dw, db, dx=None) -> None:
     gradient.
     """
     np.matmul(g.T, x, out=dw)
-    np.sum(g, axis=0, out=db)
+    np.add.reduce(g, axis=0, out=db)
     if dx is not None:
         np.matmul(g, w, out=dx)
 

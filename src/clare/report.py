@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_from_items, parse_seeds, read_items, read_text
+from .dataio import replacing
 from .metrics import average_over_tasks
 from .protocol import TRACE_KEYS, MetricsRecord
 
@@ -114,7 +115,9 @@ def render_report(report: ResultsReport) -> str:
 
 
 def write_report(report: ResultsReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``render_report``'s text to ``path``, replacing it atomically
+    (``dataio.replacing``): a failed write leaves any previous report whole."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write(render_report(report))
 
 
@@ -260,5 +263,6 @@ def render_csv(report: ResultsReport) -> str:
 
 
 def write_csv(report: ResultsReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``render_csv``'s table to ``path``, replaced as ``write_report`` does."""
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write(render_csv(report))

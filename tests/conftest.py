@@ -1,8 +1,9 @@
 """Shared fixtures: toy config and data, a toy-trained model, one-batch steps,
-and the acceptance summary."""
+a failing file, and the acceptance summary."""
 
 from __future__ import annotations
 
+import builtins
 import os
 
 import numpy as np
@@ -74,6 +75,46 @@ def step_on(
 ) -> dict[str, float]:
     """``forward_backward`` on one given batch, in a fresh workspace."""
     return forward_backward(model, filled_workspace(model, x, labels, noise), beta)
+
+
+class FullDisk:
+    """A file whose ``fail_at``-th write raises ``OSError(28)``."""
+
+    def __init__(self, fh, fail_at: int):
+        self.fh, self.writes, self.fail_at = fh, 0, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def fill_disk(monkeypatch, directory, fail_at: int) -> None:
+    """Make each file then opened for writing in ``directory`` a ``FullDisk``.
+
+    Every other ``open`` is left alone; ``monkeypatch.undo()`` ends it.
+    """
+    directory = os.path.abspath(directory)
+    real_open = builtins.open
+
+    def opener(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if (
+            isinstance(file, (str, os.PathLike))
+            and any(flag in mode for flag in "wax")
+            and os.path.dirname(os.path.abspath(file)) == directory
+        ):
+            return FullDisk(fh, fail_at)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", opener)
 
 
 # -- acceptance summary -------------------------------------------------------

@@ -154,3 +154,43 @@ def accuracy_oracle(preds: np.ndarray, labels: np.ndarray) -> float:
         if int(p) == int(t):
             hits += 1
     return 100.0 * hits / len(labels)
+
+
+# The step's classifier, latent and KL kernels as first written: each
+# quantity computed where it is used, through numpy's wrappers. The
+# kernels compute each once and must match these bit for bit.
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def softmax_xent_oracle(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of integer labels and its gradient, rows softmaxed twice."""
+    n = logits.shape[0]
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    loss = float(np.mean(lse - logits[np.arange(n), labels]))
+    row_max = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - row_max)
+    np.maximum(e, _TINY, out=e)
+    grad = e / e.sum(axis=1, keepdims=True)
+    grad[np.arange(n), labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+def kl_terms_oracle(mu: np.ndarray, log_var: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean KL to the standard normal, and its gradients in ``mu`` and ``log_var``."""
+    n = mu.shape[0]
+    em1 = np.expm1(log_var)
+    kl = float(0.5 * np.sum(mu * mu + em1 - log_var) / n)
+    return kl, mu / n, 0.5 * em1 / n
+
+
+def reparam_fwd_oracle(mu: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The reparameterized draw ``mu + exp(0.5 * log_var) * noise``."""
+    return mu + np.exp(0.5 * log_var) * noise
+
+
+def reparam_dlv_oracle(g: np.ndarray, log_var: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The draw's gradient in ``log_var`` from ``g = dL/dz``."""
+    return 0.5 * np.exp(0.5 * log_var) * noise * g

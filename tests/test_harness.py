@@ -34,8 +34,10 @@ from clare.report import (
     read_report,
     render_csv,
     render_report,
+    write_csv,
     write_report,
 )
+from conftest import fill_disk
 from oracles import accuracy_oracle
 
 MINI = dict(d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
@@ -347,6 +349,19 @@ class TestReportRoundTrip:
         # 3 records per run with 1, 2, and 3 class entries.
         assert len(lines) == 1 + 2 * (1 + 2 + 3)
         assert lines[1].startswith("5,0,0,")
+
+    @pytest.mark.parametrize("write", [write_report, write_csv])
+    def test_a_failed_rewrite_leaves_the_previous_file_whole(self, tmp_path, monkeypatch, write):
+        path = str(tmp_path / "report.txt")
+        write_report(_tiny_report(), path)
+        first = Path(path).read_text(encoding="utf-8")
+        fill_disk(monkeypatch, tmp_path, 1)
+        with pytest.raises(OSError, match="No space left"):
+            write(_tiny_report(seeds=(5, 6)), path)
+        monkeypatch.undo()
+        assert Path(path).read_text(encoding="utf-8") == first
+        assert read_report(path).runs[0].seed == 5
+        assert os.listdir(tmp_path) == ["report.txt"]
 
 
 TWO_SEED_REPORT = _tiny_report(seeds=(5, 6))

@@ -1,5 +1,6 @@
 """The elementwise kernels: stability at extreme inputs, and bit-exactness
-against the branchwise formulas in ``oracles``."""
+against the branchwise formulas in ``oracles`` and against the training
+step's kernels as first written."""
 
 from __future__ import annotations
 
@@ -7,9 +8,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clare import kernels
-from oracles import bce_logits_oracle, sigmoid_oracle
+from clare.model import LOG_VAR_MAX, LOG_VAR_MIN, ClareModel, StepWorkspace, forward_backward
+from oracles import (
+    bce_logits_oracle,
+    kl_terms_oracle,
+    reparam_dlv_oracle,
+    reparam_fwd_oracle,
+    sigmoid_oracle,
+    softmax_xent_oracle,
+)
 
 
 class TestStability:
@@ -146,3 +158,121 @@ class TestNumpyAgainstOracles:
         sigmoid = kernels.sigmoid_fwd
         y = sigmoid(x, out=x) if in_place else sigmoid(x)
         assert np.array_equal(y, want, equal_nan=True)
+
+
+@st.composite
+def filled(draw, shape, low: float, high: float, edges):
+    """A seeded uniform(low, high) array with entries hypothesis picks set to
+    one of ``edges``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out = rng.uniform(low, high, shape)
+    keep = np.nan  # marks an entry left as drawn
+    picks = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([keep, *edges])))
+    return np.where(np.isnan(picks), out, picks)
+
+
+SIGNED_ZEROS = (0.0, -0.0)
+
+
+@st.composite
+def logits_and_labels(draw):
+    """Logits with every label value present in the labels.
+
+    With two or more classes, row 0's first logit is 800 above the rest, so
+    ``exp`` underflows to zero there and the ``_TINY`` floor acts; other
+    entries may be 720 apart, where ``exp`` is subnormal.
+    """
+    classes = draw(st.integers(1, 12))
+    n = draw(st.integers(classes, 40))
+    logits = draw(filled((n, classes), -30.0, 30.0, SIGNED_ZEROS + (720.0, -720.0, 1e4)))
+    if classes > 1:
+        logits[0, 0] = logits[0].max() + 800.0
+    extra = draw(hnp.arrays(np.int64, n - classes, elements=st.integers(0, classes - 1)))
+    labels = np.array(draw(st.permutations(np.concatenate([np.arange(classes), extra]))))
+    return logits, labels
+
+
+@st.composite
+def latents(draw, count: int):
+    """``count`` arrays of one ``(n, d_z)`` shape: a first (the mean or the
+    gradient), the log-variance, then the rest.
+
+    Log-variances include the clip bounds, which the first and last entries
+    always hold; every array may hold zeros of either sign.
+    """
+    shape = (draw(st.integers(1, 128)), draw(st.integers(1, 64)))
+    log_var = draw(filled(shape, LOG_VAR_MIN, LOG_VAR_MAX, (LOG_VAR_MIN, LOG_VAR_MAX) + SIGNED_ZEROS))
+    log_var.flat[0], log_var.flat[-1] = LOG_VAR_MIN, LOG_VAR_MAX
+    others = [draw(filled(shape, -4.0, 4.0, SIGNED_ZEROS)) for _ in range(count - 1)]
+    return [others[0], log_var, *others[1:]]
+
+
+class TestStepKernelsAgainstFirstWritten:
+    """The step's cross-entropy, KL and reparameterization kernels compute
+    each quantity once, with the operations of ``oracles``' versions."""
+
+    @given(logits_and_labels())
+    def test_softmax_xent(self, case):
+        logits, labels = case
+        before = logits.copy()
+        loss, grad = kernels.softmax_xent(logits, labels)
+        want_loss, want_grad = softmax_xent_oracle(logits, labels)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(logits, before)
+
+    @given(latents(2))
+    def test_kl_terms(self, arrays):
+        mu, log_var = arrays
+        kl, dmu, dlv = kernels.kl_terms(mu, log_var)
+        want_kl, want_dmu, want_dlv = kl_terms_oracle(mu, log_var)
+        assert kl == want_kl
+        assert np.array_equal(dmu, want_dmu)
+        assert np.array_equal(dlv, want_dlv)
+
+    @given(latents(4), st.booleans())
+    def test_reparameterization(self, arrays, held):
+        # ``held``: the caller passes ``reparam_std``'s result and output buffers.
+        mu, log_var, noise, g = arrays
+        if held:
+            std = np.full_like(log_var, np.nan)
+            assert kernels.reparam_std(log_var, out=std) is std
+            z_out, dlv_out = np.full_like(mu, np.nan), np.full_like(mu, np.nan)
+            z = kernels.reparam_fwd(mu, log_var, noise, std=std, out=z_out)
+            dlv = kernels.reparam_dlv(g, log_var, noise, std=std, out=dlv_out)
+            assert z is z_out and dlv is dlv_out
+        else:
+            z = kernels.reparam_fwd(mu, log_var, noise)
+            dlv = kernels.reparam_dlv(g, log_var, noise)
+        assert np.array_equal(z, reparam_fwd_oracle(mu, log_var, noise))
+        assert np.array_equal(dlv, reparam_dlv_oracle(g, log_var, noise))
+
+
+@pytest.mark.parametrize(
+    "dims", [(3, 64, 16, (48, 32), (32, 48)), (10, 64, 784, (512, 256), (256, 512))],
+    ids=["toy", "digit"],
+)
+def test_the_step_with_the_first_written_kernels_is_bit_identical(dims, monkeypatch):
+    # The toy quick-start's and the digit network's shapes at batch 128. The
+    # log-variance biases put some draws beyond each clip bound.
+    rng = np.random.default_rng(21)
+    model = ClareModel(*dims, rng=rng)
+    model.tape.param("enc_blv")[:] = rng.uniform(-14.0, 14.0, dims[1])
+    ws = StepWorkspace(dims, 128)
+    ws.x[...] = rng.uniform(size=ws.x.shape)
+    ws.labels[...] = rng.permutation(np.arange(128) % dims[0])
+    rng.standard_normal(out=ws.noise)
+    got = forward_backward(model, ws)
+    grads = model.tape.flat_grads.copy()
+    assert (ws.lv == LOG_VAR_MIN).any() and (ws.lv == LOG_VAR_MAX).any()
+    for name, oracle in [
+        ("softmax_xent", softmax_xent_oracle),
+        ("kl_terms", kl_terms_oracle),
+        ("reparam_fwd", reparam_fwd_oracle),
+        ("reparam_dlv", reparam_dlv_oracle),
+    ]:
+        # The first-written kernels take no buffers.
+        monkeypatch.setattr(kernels, name, lambda *args, _oracle=oracle, **_: _oracle(*args))
+    want = forward_backward(model, ws)
+    assert got == want
+    assert np.array_equal(model.tape.flat_grads, grads)

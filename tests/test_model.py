@@ -29,7 +29,7 @@ from clare.model import (
     StepWorkspace,
     forward_backward,
 )
-from conftest import filled_workspace, step_on
+from conftest import filled_workspace, fill_disk, step_on
 from oracles import bce_oracle, cross_entropy_oracle, finite_difference, objective_oracle
 
 MINI = dict(class_no=2, d_z=2, input_dim=6, enc_hidden=(8, 7), dec_hidden=(7, 8))
@@ -606,27 +606,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.clre")
         old = mini_model(32)
         save_model(old, path)
-        builtin_open = open
-
-        class FullDisk:
-            """A file whose second write, the payload, fails."""
-
-            def __init__(self, *args):
-                self.fh, self.writes = builtin_open(*args), 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(model_mod, "open", FullDisk, raising=False)
+        fill_disk(monkeypatch, tmp_path, 2)  # the second write, the payload, fails
         with pytest.raises(OSError, match="No space left"):
             save_model(mini_model(33), path)
         monkeypatch.undo()

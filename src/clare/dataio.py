@@ -162,13 +162,16 @@ def replacing(path: str, mode: str, **kwargs):
         raise
 
 
-def _read_idx_file(path: str) -> np.ndarray:
-    """``parse_idx`` of ``path``, else of ``path + ".gz"``; errors name the file."""
+def _read_idx_file(path: str) -> tuple[str, np.ndarray]:
+    """The file read and ``parse_idx`` of it: ``path``, else ``path + ".gz"``.
+
+    Errors name the file.
+    """
     for candidate in (path, path + ".gz"):
         if os.path.exists(candidate):
             with open(candidate, "rb") as fh:
                 try:
-                    return parse_idx(fh.read())
+                    return candidate, parse_idx(fh.read())
                 except IdxFormatError as exc:
                     raise IdxFormatError(f"{candidate}: {exc}") from exc
     raise FileNotFoundError(f"no such file: {path} (also tried {path}.gz)")
@@ -191,13 +194,20 @@ def load_mnist(data_dir: str) -> tuple[LabeledDataset, LabeledDataset]:
     """Load the four standard IDX files (plain or .gz) from ``data_dir``.
 
     Images keep the files' uint8 pixel bytes, as a read-only view of each
-    file's one read; nothing is copied or converted to float.
+    file's one read; nothing is copied or converted to float. Training and
+    test images of different shapes raise ``IdxFormatError`` naming both
+    image files.
     """
-    train_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_images"]))
-    train_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["train_labels"]))
-    test_x = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_images"]))
-    test_y = _read_idx_file(os.path.join(data_dir, MNIST_FILES["test_labels"]))
-    return _to_dataset(train_x, train_y, "train"), _to_dataset(test_x, test_y, "test")
+    read = {key: _read_idx_file(os.path.join(data_dir, name)) for key, name in MNIST_FILES.items()}
+    (train_file, train_x), (_, train_y) = read["train_images"], read["train_labels"]
+    (test_file, test_x), (_, test_y) = read["test_images"], read["test_labels"]
+    train, test = _to_dataset(train_x, train_y, "train"), _to_dataset(test_x, test_y, "test")
+    if train_x.shape[1:] != test_x.shape[1:]:
+        raise IdxFormatError(
+            f"image shapes differ: {train_file} holds {train_x.shape[1:]} images, "
+            f"{test_file} holds {test_x.shape[1:]}"
+        )
+    return train, test
 
 
 def as_pixels(images) -> np.ndarray:

@@ -12,7 +12,8 @@ and the decoder. ``ClareModel.decode`` is the one place outside training
 that decodes; replay calls it on the previous increment's model. Each
 layer's forward is written once, in ``encoder_layer1``, ``encoder_trunk``,
 ``classifier_logits`` and ``decoder_logits``, and the training step and
-inference both run it.
+inference both run it. Every affine product runs through
+``numkit.linear_forward``.
 
 Classification never sees a class code: the classifier path runs the
 encoder with an all-zeros condition, at train time and test time alike, so
@@ -258,9 +259,7 @@ def encoder_layer1(get, d: int, x, out) -> np.ndarray:
     ``x @ enc_w1[:, :d].T + enc_b1``: a zero condition adds nothing, so only
     the ``d`` image columns of ``enc_w1`` are read, in place.
     """
-    np.matmul(x, get("enc_w1")[:, :d].T, out=out)
-    out += get("enc_b1")
-    return out
+    return nk.linear_forward(get("enc_w1")[:, :d], get("enc_b1"), x, out)
 
 
 def encoder_trunk(get, h1, h2, mu) -> np.ndarray:
@@ -271,42 +270,29 @@ def encoder_trunk(get, h1, h2, mu) -> np.ndarray:
     head is not run: only the training step's one-hot pass needs it.
     """
     kernels.relu_fwd(h1, out=h1)
-    np.matmul(h1, get("enc_w2").T, out=h2)
-    h2 += get("enc_b2")
-    kernels.relu_fwd(h2, out=h2)
-    np.matmul(h2, get("enc_wmu").T, out=mu)
-    mu += get("enc_bmu")
-    return mu
+    kernels.relu_fwd(nk.linear_forward(get("enc_w2"), get("enc_b2"), h1, h2), out=h2)
+    return nk.linear_forward(get("enc_wmu"), get("enc_bmu"), h2, mu)
 
 
 def classifier_logits(get, mu, out) -> np.ndarray:
     """The classifier head ``mu @ cls_w.T + cls_b``, into ``out``."""
-    np.matmul(mu, get("cls_w").T, out=out)
-    out += get("cls_b")
-    return out
+    return nk.linear_forward(get("cls_w"), get("cls_b"), mu, out)
 
 
 def decoder_logits(get, d_z: int, z, c, cond, h1, h2, out) -> np.ndarray:
     """The decoder's forward layers, up to the output logits, into ``out``.
 
-    Layer 1 reads ``[z, c]`` in split form, ``(z @ Wz.T + b1) + c @ Wc.T``,
-    with ``dec_w1`` split after its first ``d_z`` columns; ``c @ Wc.T`` goes
-    into ``cond``. Both hidden layers pass through ReLU in place in ``h1``
-    and ``h2``. Every buffer must have ``len(z)`` rows. Training, replay and
-    ``decode`` all run the decoder through here.
+    Layer 1 reads ``[z, c]`` in split form, ``c @ Wc.T + (z @ Wz.T + b1)``,
+    with ``dec_w1`` split after its first ``d_z`` columns; the latent part
+    ``z @ Wz.T + b1`` stays in ``cond``. Both hidden layers pass through
+    ReLU in place in ``h1`` and ``h2``. Every buffer must have ``len(z)``
+    rows. Training, replay and ``decode`` all run the decoder through here.
     """
     w1 = get("dec_w1")
-    np.matmul(z, w1[:, :d_z].T, out=h1)
-    h1 += get("dec_b1")
-    np.matmul(c, w1[:, d_z:].T, out=cond)
-    h1 += cond
-    kernels.relu_fwd(h1, out=h1)
-    np.matmul(h1, get("dec_w2").T, out=h2)
-    h2 += get("dec_b2")
-    kernels.relu_fwd(h2, out=h2)
-    np.matmul(h2, get("dec_w3").T, out=out)
-    out += get("dec_b3")
-    return out
+    nk.linear_forward(w1[:, :d_z], get("dec_b1"), z, cond)
+    kernels.relu_fwd(nk.linear_forward(w1[:, d_z:], cond, c, h1), out=h1)
+    kernels.relu_fwd(nk.linear_forward(get("dec_w2"), get("dec_b2"), h1, h2), out=h2)
+    return nk.linear_forward(get("dec_w3"), get("dec_b3"), h2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +312,10 @@ class StepWorkspace:
     Rows ``[:n]`` of the stacked encoder buffers hold the zero-condition
     (classification) pass, rows ``[n:]`` the one-hot (VAE) pass. The forward
     products run per pass; the backward takes each weight gradient of the
-    shared layers over both passes' rows in one product.
+    shared layers over both passes' rows in one product. The backward
+    writes each ReLU's 0/1 mask over the activation it came from, so after
+    a step ``h1``, ``h2``, ``d1`` and ``d2`` hold masks, and ``cond_d``
+    holds the decoder's latent part ``z @ Wz.T + b1`` (``decoder_logits``).
 
     One workspace serves a whole run: a shorter batch runs on views of its
     leading rows (``leading``), and a model with fewer classes on the
@@ -360,11 +349,7 @@ class StepWorkspace:
         self.dout = np.empty((n, d))
         self.bce_e = np.empty((n, d))
         self.bce_tmp = np.empty((n, d))
-        # relu and clip masks
-        self.live1 = np.empty((2 * n, h1), dtype=bool)
-        self.live2 = np.empty((2 * n, h2), dtype=bool)
-        self.live_d1 = np.empty((n, g1), dtype=bool)
-        self.live_d2 = np.empty((n, g2), dtype=bool)
+        # the log-variance clip's masks
         self.inside = np.empty((n, d_z), dtype=bool)
         self.below = np.empty((n, d_z), dtype=bool)
         # gradients with respect to activations
@@ -442,15 +427,13 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     # adds column W1[:, d + label], picked out by a (n, class_no) product.
     cls1, vae1 = ws.h1[:n], ws.h1[n:]
     encoder_layer1(p, d, x, cls1)
-    np.matmul(codes, p("enc_w1")[:, d:].T, out=vae1)
-    vae1 += cls1
+    nk.linear_forward(p("enc_w1")[:, d:], cls1, codes, vae1)
     h2_cls, h2_vae = ws.h2[:n], ws.h2[n:]
     mu0, mu = ws.mu[:n], ws.mu[n:]
     encoder_trunk(p, cls1, h2_cls, mu0)
     encoder_trunk(p, vae1, h2_vae, mu)
     # Log-variance head: VAE pass only; the classifier reads the mean.
-    np.matmul(h2_vae, p("enc_wlv").T, out=ws.lv_raw)
-    ws.lv_raw += p("enc_blv")
+    nk.linear_forward(p("enc_wlv"), p("enc_blv"), h2_vae, ws.lv_raw)
     np.maximum(ws.lv_raw, LOG_VAR_MIN, out=ws.lv)
     np.minimum(ws.lv, LOG_VAR_MAX, out=ws.lv)
     np.greater(ws.lv_raw, LOG_VAR_MIN, out=ws.inside)
@@ -471,10 +454,11 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
 
     # Decoder. Each ReLU passes gradient where its output is positive, which
     # is exactly where its input was (a NaN has already failed the check).
+    # The 0/1 mask overwrites the activation after its last read.
     nk.linear_backward(dout, ws.d2, p("dec_w3"), g("dec_w3"), g("dec_b3"), ws.dd2)
-    ws.dd2 *= np.greater(ws.d2, 0.0, out=ws.live_d2)
+    ws.dd2 *= np.greater(ws.d2, 0.0, out=ws.d2)
     nk.linear_backward(ws.dd2, ws.d1, p("dec_w2"), g("dec_w2"), g("dec_b2"), ws.dd1)
-    ws.dd1 *= np.greater(ws.d1, 0.0, out=ws.live_d1)
+    ws.dd1 *= np.greater(ws.d1, 0.0, out=ws.d1)
     nk.linear_backward(ws.dd1, z, p("dec_w1")[:, :d_z], g("dec_w1")[:, :d_z], g("dec_b1"), ws.dz)
     np.matmul(ws.dd1.T, codes, out=g("dec_w1")[:, d_z:])
 
@@ -492,9 +476,9 @@ def forward_backward(model: ClareModel, ws: StepWorkspace, beta: float = 1.0) ->
     nk.linear_backward(ws.dmu, ws.h2, p("enc_wmu"), g("enc_wmu"), g("enc_bmu"), ws.dh2)
     nk.linear_backward(dlv, h2_vae, p("enc_wlv"), g("enc_wlv"), g("enc_blv"), ws.dh2_lv)
     ws.dh2[n:] += ws.dh2_lv
-    ws.dh2 *= np.greater(ws.h2, 0.0, out=ws.live2)
+    ws.dh2 *= np.greater(ws.h2, 0.0, out=ws.h2)
     nk.linear_backward(ws.dh2, ws.h1, p("enc_w2"), g("enc_w2"), g("enc_b2"), ws.dh1)
-    ws.dh1 *= np.greater(ws.h1, 0.0, out=ws.live1)
+    ws.dh1 *= np.greater(ws.h1, 0.0, out=ws.h1)
 
     # Encoder layer 1: both passes saw the same image, so their gradients
     # sum before the single image product; only the VAE pass saw a condition.

@@ -1,9 +1,11 @@
 """Parameter store, the linear layer and the Adam optimizer over float64 numpy arrays.
 
 ``ParamTape`` holds every named parameter and its gradient as views into
-two flat buffers. ``linear_backward`` writes a layer's weight and bias
-gradients for the hand-written training step in ``model`` straight into the
-tape's views. Activations are called from ``kernels`` directly.
+two flat buffers. ``linear_forward`` runs every affine product of
+``model``'s forward passes, training and inference alike, into a caller's
+buffer. ``linear_backward`` writes a layer's weight and bias gradients for
+the hand-written training step straight into the tape's views.
+Activations are called from ``kernels`` directly.
 ``optimizer_step`` consumes the gradients the step assigned, in one pass
 over the flat buffers.
 """
@@ -100,6 +102,17 @@ class ParamTape:
 # ---------------------------------------------------------------------------
 
 
+def linear_forward(w, b, x, out) -> np.ndarray:
+    """``y = x @ w.T + b`` into ``out``, which it returns.
+
+    ``w`` may be a strided view, such as a column block of a tape weight,
+    and ``b`` a bias vector or a 2-D addend of ``out``'s shape.
+    """
+    np.matmul(x, w.T, out=out)
+    out += b
+    return out
+
+
 def linear_backward(g, x, w, dw, db, dx=None) -> None:
     """Gradients of ``y = x @ w.T + b`` from ``g = dL/dy``, written in place.
 
@@ -140,9 +153,10 @@ class OptimizerState:
     moments are flat vectors at least as long as the tape's flat buffers,
     and a tape uses their leading entries. The update runs in place over
     blocks whose temporaries are rows of ``scratch``: each worker of
-    ``optimizer_step`` owns two rows. A step on a tape longer than the
-    moments (or the first step) allocates them zeroed, with ``tape.capacity``
-    entries, so a run's tapes, which share one capacity, allocate them once.
+    ``optimizer_step`` owns two rows of ``min(tape.capacity, BLOCK)``
+    entries. A step on a tape longer than the moments (or the first step)
+    allocates them zeroed, with ``tape.capacity`` entries. So a run's tapes,
+    which share one capacity, allocate the moments and the scratch once.
     The first step after ``restart`` zero-fills the part it uses, so one
     state serves a sequence of fresh optimizations without new memory.
     """
@@ -196,7 +210,7 @@ def optimizer_step(tape: ParamTape, state: OptimizerState, _workers: int | None 
     blocks = -(-p.size // kernels.BLOCK)
     parts = max(1, min(_workers, blocks))
     # Adam's blocked pass takes two scratch rows per worker.
-    shape = (parts * 2, min(p.size, kernels.BLOCK))
+    shape = (parts * 2, min(tape.capacity, kernels.BLOCK))
     if state.scratch is None or state.scratch.shape != shape:
         state.scratch = np.empty(shape)
     cuts = [min(p.size, blocks * k // parts * kernels.BLOCK) for k in range(parts + 1)]

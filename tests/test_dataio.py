@@ -275,6 +275,29 @@ class TestLoadMnist:
         want = "gzip stream is corrupt" if gz else "payload truncated at offset 37"
         assert str(err.value).startswith(f"{bad}: {want}"), str(err.value)
 
+    @pytest.mark.parametrize("test_shape", [(27, 27), (1, 784)])
+    def test_train_and_test_images_of_different_shapes_name_both_files(
+        self, tmp_path, test_shape
+    ):
+        # 27x27 test images would stop the run at its first evaluation;
+        # 1x784 ones have the training rows' width but not their shape. The
+        # test images are gzipped, so the error names the file it read.
+        for name, payload in zip(MNIST_FILES.values(), [
+            np.zeros((4, 28, 28), dtype=np.uint8), np.zeros(4, dtype=np.uint8),
+            np.zeros((2, *test_shape), dtype=np.uint8), np.zeros(2, dtype=np.uint8),
+        ]):
+            (tmp_path / name).write_bytes(write_idx(payload))
+        test_file = tmp_path / MNIST_FILES["test_images"]
+        gz_file = test_file.with_name(test_file.name + ".gz")
+        gz_file.write_bytes(gzip.compress(test_file.read_bytes()))
+        test_file.unlink()
+        with pytest.raises(IdxFormatError) as err:
+            load_mnist(str(tmp_path))
+        assert str(err.value) == (
+            f"image shapes differ: {tmp_path / MNIST_FILES['train_images']} holds (28, 28) "
+            f"images, {gz_file} holds {test_shape}"
+        )
+
     def test_round_trip_through_files(self, tmp_path):
         rng = np.random.default_rng(4)
         train_x = rng.integers(0, 256, size=(10, 3, 3), dtype=np.uint8)

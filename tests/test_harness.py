@@ -640,6 +640,18 @@ class TestCli:
             f"error: {bad}: payload truncated at offset 135: dims (30, 2, 2) require 136 bytes\n"
         )
 
+    def test_test_images_of_another_shape_name_both_files(self, tmp_path, capsys):
+        # 3x3 test images beside 2x2 training ones: the run must stop before
+        # training, naming both files, not in the first evaluation.
+        corpus = _digit_corpus(tmp_path)
+        bad = corpus / "t10k-images-idx3-ubyte"
+        bad.write_bytes(write_idx(np.zeros((30, 3, 3), dtype=np.uint8)))
+        assert run_cli(["--dataset", "mnist", "--data-dir", str(corpus), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: image shapes differ: {corpus / 'train-images-idx3-ubyte'} holds (2, 2) "
+            f"images, {bad} holds (3, 3)\n"
+        )
+
     def test_duplicate_config_key_names_both_lines(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("epochs = 3\nseed = 1\n\nepochs = 4\n")

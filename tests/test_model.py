@@ -400,6 +400,33 @@ class TestTotalLoss:
         # The KL term does pull on the variance head.
         assert not np.array_equal(g0["enc_wlv"], g5["enc_wlv"])
 
+    @pytest.mark.parametrize("dims", [
+        (3, 64, 16, (48, 32), (32, 48)),
+        (10, 64, 784, (512, 256), (256, 512)),
+    ], ids=["toy", "digits"])
+    def test_every_forward_product_of_a_step_runs_through_linear_forward(
+        self, monkeypatch, dims
+    ):
+        # The benchmark's tracer counts the step's forward FLOPs from these
+        # calls' weight shapes and row counts.
+        c, d_z, d, (h1, h2), (g1, g2) = dims
+        n = 24
+        calls = []
+        real = nk.linear_forward
+
+        def record(w, b, x, out):
+            calls.append((w.shape, len(x)))
+            return real(w, b, x, out)
+
+        monkeypatch.setattr(nk, "linear_forward", record)
+        rng = np.random.default_rng(2)
+        m = ClareModel(*dims, rng=rng)
+        step_on(m, rng.uniform(size=(n, d)), rng.integers(0, c, n), rng.standard_normal((n, d_z)))
+        trunk = [(h2, h1), (d_z, h2)]
+        want = [(h1, d), (h1, c), *trunk, *trunk, (d_z, h2), (c, d_z),
+                (g1, d_z), (g1, c), (g2, g1), (d, g2)]
+        assert calls == [(shape, n) for shape in want]
+
     def test_noise_shape_checked(self):
         # The noise buffer belongs to the workspace, so a workspace built for
         # another latent width is refused rather than broadcast.

@@ -171,6 +171,17 @@ class TestGradients:
         assert_allclose(db, [1.0, 1.0], rtol=0, atol=0)
         assert_allclose(dx, [[1.4, -0.3]], rtol=1e-15)
 
+    def test_linear_forward_is_the_product_plus_the_bias_bit_for_bit(self):
+        # A column block of a wider weight, as the split condition products
+        # read, with a bias vector and with a 2-D addend.
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((7, 11))[:, 7:]
+        x = rng.standard_normal((5, 4))
+        for b in (rng.standard_normal(7), rng.standard_normal((5, 7))):
+            out = np.full((5, 7), np.nan)
+            assert nk.linear_forward(w, b, x, out) is out
+            assert np.array_equal(out, np.matmul(x, w.T) + b)
+
     def test_cross_entropy_at_zero_weights_is_nonzero(self):
         # Uniform predictions still disagree with one-hot labels, so learning
         # must be able to start from an all-zero classifier.

@@ -537,6 +537,23 @@ class TestTrainingBuffers:
         assert buffers.workspace is ws
         assert buffers.optimizer.m is moments[0] and buffers.optimizer.v is moments[1]
 
+    def test_every_increment_steps_on_one_adam_scratch(self, data, monkeypatch):
+        # Each increment's tape is longer than the last, but they share the
+        # final model's capacity, which sizes the scratch rows too.
+        sizes, seen = set(), []
+        real = nk.optimizer_step
+
+        def record(tape, state):
+            real(tape, state)
+            sizes.add(tape.flat_params.size)
+            seen.append(state.scratch)
+
+        monkeypatch.setattr(nk, "optimizer_step", record)
+        train, test = data
+        run_experiment(train, test, build_schedule([0, 1, 2], g=1), replace(FAST, epochs=1), 7)
+        assert len(sizes) == 3
+        assert all(scratch is seen[0] for scratch in seen)
+
     @pytest.mark.parametrize("batch, class_no, d_z", [(8, 3, 2), (16, 2, 2), (16, 3, 3)])
     def test_a_workspace_that_cannot_train_the_call_is_rejected_before_drawing(
         self, batch, class_no, d_z

@@ -92,4 +92,6 @@ def test_every_program_name_the_readme_cites_resolves():
             assert hasattr(obj, attr), f"{name}: no {attr!r}"
             obj = getattr(obj, attr)
         checked.append(name)
-    assert "ClareModel.decode" in checked and "clare.replay.generate_replay" in checked
+    for name in ("ClareModel.decode", "clare.replay.generate_replay",
+                 "clare.numkit.linear_forward"):
+        assert name in checked, name

@@ -2,14 +2,17 @@
 
 Run from the repository root::
 
-    python3 tools/fingerprints.py
+    python3 tools/fingerprints.py [TREE]
 
-Each line is ``workload seed crc32``: one ``run_once`` of the workload in
+``TREE`` is the root of the checkout whose ``src/`` and ``perfbench/`` are
+run; it defaults to the checkout holding this script. Each line is
+``workload seed crc32``: one ``run_once`` of the workload in
 ``perfbench/workloads.py`` after its set-up, and ``zlib.crc32`` of the
 ``repr`` of that repetition's fingerprint, which holds every output that
 must repeat exactly on one seed. Two trees compute the same results on one
-machine when they print the same lines there. Digit-shape bits depend on
-the BLAS thread count, so compare runs at the same ``OPENBLAS_NUM_THREADS``.
+machine when they print the same lines there (``tools/same_results.py``
+compares them). Digit-shape bits depend on the BLAS thread count, so
+compare runs at the same ``OPENBLAS_NUM_THREADS``.
 
 Exits 1, naming the check on stderr, if a repetition fails one of the
 workload's output checks.
@@ -17,20 +20,23 @@ workload's output checks.
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 import tempfile
 import zlib
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import workloads  # noqa: E402 - needs the paths above
-
 SEEDS = (5, 9)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(f"usage: {sys.argv[0]} [TREE]", file=sys.stderr)
+        return 2
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.abspath(argv[0]) if argv else here
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    workloads = importlib.import_module("workloads")
     failed = 0
     for seed in SEEDS:
         for name, workload in workloads.WORKLOADS.items():
@@ -45,4 +51,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
